@@ -801,8 +801,13 @@ func (s *Server) Draining() bool { return s.drainingFlag.Load() }
 // exit. If ctx expires first, every remaining job is cancelled — they
 // stop at the simulator's next periodic check — the drain completes,
 // and ctx's error is returned to signal the unclean (but still orderly)
-// exit. Safe to call more than once.
+// exit. Once the workers are gone the result store is closed, releasing
+// its directory to a successor. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
+	// Both returns below follow the workers' exit. A failed close is
+	// dropped like every other store error: persistence is best-effort,
+	// and a lost result is re-simulated on demand.
+	defer s.store.close()
 	s.mu.Lock()
 	if !s.drainingFlag.Swap(true) {
 		close(s.queue)

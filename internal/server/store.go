@@ -1,29 +1,44 @@
 // Disk-backed result store: the persistence layer behind the in-memory
-// job LRU. Completed dumps are written as content-addressed files —
-// the filename IS the job ID, which IS the sha256 content address of
-// the canonical request — so the store survives restarts, repeat
-// queries hit disk instead of re-simulating, and two nodes (or two
-// processes racing on one directory) writing the same ID are writing
-// the same bytes.
+// job LRU. Completed dumps are appended to a segmented log keyed by job
+// ID — the sha256 content address of the canonical request — so the
+// store survives restarts and repeat queries hit disk instead of
+// re-simulating, without creating a file per result.
 //
-// Layout: <dir>/<id[:2]>/<id>.json, a 256-way fan-out so no directory
-// grows unboundedly. Each file is one header line
+// Layout: <dir>/seg-<n>.log segments, appended to in increasing n. Each
+// record is one header line
 //
-//	sttllc-store/v1 <hex sha256 of payload>
+//	sttllc-store/v2 <id> <payload-len> <hex sha256 of payload>
 //
-// followed by the compact-JSON StatsDump payload. Writes go to a temp
-// file in the destination directory and rename into place: readers
-// never observe a partial file, and concurrent writers of one ID are
-// idempotent (last rename wins; the content is identical). Files that
-// fail the checksum or don't parse — truncation, bit rot, a stray hand
-// edit — are quarantined into <dir>/quarantine/ rather than served or
-// deleted, and counted.
+// followed by the compact-JSON StatsDump payload and a newline, written
+// with a single write to the active segment, which is opened O_APPEND
+// once. An in-memory index maps each ID to its record (segment, offset,
+// length); a read is one pread on the open segment plus the checksum
+// check. A second put of an indexed ID writes nothing: IDs are content
+// addresses, so the record already holds the same bytes.
 //
-// Eviction is least-recently-used by total payload bytes against a
-// budget; recency survives restarts approximately via file mtimes
-// (reads re-touch). The store is an independent component with its own
-// mutex — it never takes the Server's — so disk IO cannot block the
-// scheduler more than the calling handler.
+// Recovery: opening the store replays every segment in append order.
+// A record that fails its checksum or doesn't parse — truncation, bit
+// rot, a stray hand edit — is never indexed; its bytes are copied into
+// <dir>/quarantine/ and counted, and replay resynchronises on the next
+// header. Damage after a segment's last intact record (a crash
+// mid-append leaves exactly that) is cut off; a segment with damage
+// before an intact record is rewritten forward. Records that fail
+// verification at read time are quarantined and unindexed the same way.
+//
+// Eviction is least-recently-used by record bytes against the budget.
+// Recency lives in memory: after a restart it follows append order.
+// Rotation and compaction derive from the budget: the active segment
+// seals at budget/8, a segment whose live bytes fall below half its size
+// is rewritten forward into the active one, and a segment with no live
+// records is unlinked. Every segment therefore holds at least half live
+// bytes, so the log stays within twice the budget on disk.
+//
+// One process owns a directory: openStore takes an exclusive lock on
+// <dir>/LOCK and a second opener fails. A v1 directory (one file per
+// result, <dir>/<id[:2]>/<id>.json) is imported into the log on open.
+// The store has its own mutex — it never takes the Server's — and does
+// its appends and compactions under it, so store IO never blocks the
+// scheduler.
 package server
 
 import (
@@ -32,11 +47,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io/fs"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,38 +62,59 @@ import (
 	"sttllc/internal/sim"
 )
 
-// storeHeader is the magic prefix of every result file.
-const storeHeader = "sttllc-store/v1"
+const (
+	// storeMagic opens every record's header line.
+	storeMagic = "sttllc-store/v2"
+	// storeMagicV1 is the header of the one-file-per-result layout that
+	// openStore imports.
+	storeMagicV1 = "sttllc-store/v1"
+	// maxHeaderLen bounds the search for a header's newline; a real
+	// header is about 120 bytes.
+	maxHeaderLen = 256
+)
 
 // diskStore is the persistent result store. Nil *diskStore is valid
 // and inert: every lookup misses, every write is dropped, so callers
 // don't branch on "is persistence configured".
 type diskStore struct {
 	dir    string
-	budget int64 // payload-byte budget; eviction keeps total <= budget
+	budget int64 // record-byte budget; eviction keeps total <= budget
+	lock   *os.File
 
 	mu      sync.Mutex
 	order   *list.List               // front = most recently used
 	entries map[string]*list.Element // id → element, Value = *storeEntry
-	total   int64                    // sum of entry sizes
+	total   int64                    // sum of indexed record sizes
+	segs    []*segment               // open segments, oldest first
+	active  *segment                 // appended to; nil until the next append
+	nextSeg int
+	closed  bool
 
 	hits, misses, writes, evictions, quarantined atomic.Uint64
 }
 
+// segment is one open log file.
+type segment struct {
+	n    int
+	f    *os.File
+	size int64 // bytes in the file
+	live int64 // bytes of indexed records
+}
+
 type storeEntry struct {
-	id   string
-	size int64
+	id  string
+	seg *segment
+	off int64 // record start within seg
+	n   int64 // record length, header line through trailing newline
 }
 
 // defaultStoreBudget bounds the store when the caller doesn't: 256 MB
 // of dumps is tens of thousands of results.
 const defaultStoreBudget = 256 << 20
 
-// openStore opens (creating if needed) a disk store rooted at dir and
-// indexes the results already present, oldest first, verifying each
-// file's checksum; corrupt files are quarantined immediately so a
-// damaged store never serves bad dumps. budget <= 0 selects the
-// default.
+// openStore opens (creating if needed) the store rooted at dir, locks
+// it against other processes, indexes the records already present and
+// imports any v1 result files. budget <= 0 selects the default.
 func openStore(dir string, budget int64) (*diskStore, error) {
 	if budget <= 0 {
 		budget = defaultStoreBudget
@@ -84,112 +122,272 @@ func openStore(dir string, budget int64) (*diskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("opening result store: %w", err)
 	}
+	lock, err := lockStoreDir(dir)
+	if err != nil {
+		return nil, err
+	}
 	s := &diskStore{
 		dir:     dir,
 		budget:  budget,
+		lock:    lock,
 		order:   list.New(),
 		entries: make(map[string]*list.Element),
+		nextSeg: 1,
 	}
-	if err := s.scan(); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.loadLocked(); err != nil {
+		s.closeLocked()
 		return nil, err
 	}
 	return s, nil
 }
 
-// scan indexes existing result files by mtime (oldest = least recently
-// used) and quarantines any that fail verification, then enforces the
-// budget in case it shrank between runs.
-func (s *diskStore) scan() error {
-	type found struct {
-		id    string
-		size  int64
-		mtime time.Time
-	}
-	var all []found
-	err := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if filepath.Base(path) == "quarantine" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		id, ok := idFromFilename(d.Name())
-		if !ok {
-			return nil // temp files, strays
-		}
-		if _, verr := s.readVerified(path); verr != nil {
-			s.quarantine(path)
-			return nil
-		}
-		info, ierr := d.Info()
-		if ierr != nil {
-			return nil
-		}
-		all = append(all, found{id: id, size: info.Size(), mtime: info.ModTime()})
-		return nil
-	})
+// loadLocked replays the segments, imports v1 files, then enforces the
+// budget (it may have shrunk between runs) and the segment invariant.
+func (s *diskStore) loadLocked() error {
+	names, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("scanning result store: %w", err)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].mtime.Before(all[j].mtime) })
-	for _, f := range all {
-		s.entries[f.id] = s.order.PushFront(&storeEntry{id: f.id, size: f.size})
-		s.total += f.size
+	var nums []int
+	for _, d := range names {
+		if n, ok := segNumber(d.Name()); ok && d.Type().IsRegular() {
+			nums = append(nums, n)
+		}
 	}
-	s.mu.Lock()
+	sort.Ints(nums)
+	var damaged []*segment
+	for _, n := range nums {
+		seg, midDamage, err := s.replaySegmentLocked(n)
+		if err != nil {
+			return err
+		}
+		if midDamage {
+			damaged = append(damaged, seg)
+		}
+	}
+	if len(s.segs) > 0 {
+		if last := s.segs[len(s.segs)-1]; last.size < s.budget/8 {
+			s.active = last
+		}
+	}
+	for _, seg := range damaged {
+		s.compactLocked(seg)
+	}
+	if err := s.importV1Locked(names); err != nil {
+		return err
+	}
 	s.evictLocked()
-	s.mu.Unlock()
+	s.tidyLocked()
 	return nil
 }
 
-// idFromFilename recovers the job ID from "<id>.json", rejecting
-// anything that isn't 32 lowercase hex characters.
-func idFromFilename(name string) (string, bool) {
-	id, ok := strings.CutSuffix(name, ".json")
-	if !ok || len(id) != 32 {
-		return "", false
-	}
-	if _, err := hex.DecodeString(id); err != nil {
-		return "", false
-	}
-	return id, true
+// segNumber recovers n from "seg-<n>.log", rejecting any other name.
+func segNumber(name string) (int, bool) {
+	var n int
+	_, err := fmt.Sscanf(name, "seg-%d.log", &n)
+	return n, err == nil && n > 0 && name == fmt.Sprintf("seg-%d.log", n)
 }
 
-func (s *diskStore) path(id string) string {
-	return filepath.Join(s.dir, id[:2], id+".json")
+func (s *diskStore) segPath(n int) string {
+	return filepath.Join(s.dir, fmt.Sprintf("seg-%d.log", n))
 }
 
-// readVerified reads a result file and returns its payload after
-// checking the header checksum. Any structural problem — missing
-// header, wrong magic, checksum mismatch, truncation — is an error.
-func (s *diskStore) readVerified(path string) ([]byte, error) {
+// replaySegmentLocked opens segment n and indexes its intact records in
+// append order; a later record of an ID supersedes an earlier one.
+// Damaged regions are quarantined. Damage after the last intact record
+// is cut off; midDamage reports damage before one.
+func (s *diskStore) replaySegmentLocked(n int) (seg *segment, midDamage bool, err error) {
+	path := s.segPath(n)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, false, fmt.Errorf("reading result store segment: %w", err)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
+	if err != nil {
+		return nil, false, fmt.Errorf("opening result store segment: %w", err)
+	}
+	seg = &segment{n: n, f: f, size: int64(len(b))}
+	s.segs = append(s.segs, seg)
+	s.nextSeg = n + 1
+
+	end, sawDamage := 0, false
+	for off := 0; off < len(b); {
+		id, _, rn, err := parseRecord(b[off:])
+		if err == nil {
+			midDamage = midDamage || sawDamage
+			s.indexLocked(id, seg, int64(off), int64(rn))
+			off += rn
+			end = off
+			continue
+		}
+		stop := len(b)
+		if next := bytes.Index(b[off+1:], []byte(storeMagic)); next >= 0 {
+			stop = off + 1 + next
+		}
+		s.quarantineRecord(seg.n, int64(off), b[off:stop])
+		sawDamage = true
+		off = stop
+	}
+	if int64(end) < seg.size {
+		if err := f.Truncate(int64(end)); err != nil {
+			return nil, false, fmt.Errorf("cutting back result store segment: %w", err)
+		}
+		seg.size = int64(end)
+	}
+	return seg, midDamage, nil
+}
+
+// encodeRecord frames payload as one log record for id.
+func encodeRecord(id string, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	rec := make([]byte, 0, len(payload)+128)
+	rec = append(rec, storeMagic...)
+	rec = append(rec, ' ')
+	rec = append(rec, id...)
+	rec = append(rec, ' ')
+	rec = strconv.AppendInt(rec, int64(len(payload)), 10)
+	rec = append(rec, ' ')
+	rec = hex.AppendEncode(rec, sum[:])
+	rec = append(rec, '\n')
+	rec = append(rec, payload...)
+	return append(rec, '\n')
+}
+
+// parseRecord checks that b starts with one whole, intact record and
+// returns its ID, its payload and its length. Any structural problem —
+// missing or malformed header, wrong magic, truncation, checksum
+// mismatch — is an error.
+func parseRecord(b []byte) (id string, payload []byte, n int, err error) {
+	nl := bytes.IndexByte(b[:min(len(b), maxHeaderLen)], '\n')
+	if nl < 0 {
+		return "", nil, 0, errors.New("no header line")
+	}
+	f := strings.Split(string(b[:nl]), " ")
+	if len(f) != 4 || f[0] != storeMagic || !validStoreID(f[1]) {
+		return "", nil, 0, fmt.Errorf("bad header %q", b[:nl])
+	}
+	plen, err := strconv.Atoi(f[2])
+	if err != nil || plen < 0 || plen > len(b)-nl-2 {
+		return "", nil, 0, fmt.Errorf("record %s: truncated or bad length", f[1])
+	}
+	payload = b[nl+1 : nl+1+plen]
+	sum := sha256.Sum256(payload)
+	if b[nl+1+plen] != '\n' || hex.EncodeToString(sum[:]) != f[3] {
+		return "", nil, 0, fmt.Errorf("record %s: checksum mismatch", f[1])
+	}
+	return f[1], payload, nl + 2 + plen, nil
+}
+
+// validStoreID accepts exactly the 32 hex characters of a job ID.
+func validStoreID(id string) bool {
+	if len(id) != 32 {
+		return false
+	}
+	_, err := hex.DecodeString(id)
+	return err == nil
+}
+
+// quarantineRecord copies damaged log bytes aside (never deletes: they
+// may matter for diagnosis) and counts them. Best-effort — a failed copy
+// still leaves the record un-indexed.
+func (s *diskStore) quarantineRecord(seg int, off int64, b []byte) {
+	qdir := filepath.Join(s.dir, "quarantine")
+	if err := os.MkdirAll(qdir, 0o755); err == nil {
+		// A unique name: segment numbers restart once a directory has
+		// none left, and an earlier copy must never be overwritten.
+		if f, err := os.CreateTemp(qdir, fmt.Sprintf("seg-%d-%d-*.rec", seg, off)); err == nil {
+			f.Write(b)
+			f.Close()
+		}
+	}
+	s.quarantined.Add(1)
+}
+
+// importV1Locked moves results stored one file per result
+// (<dir>/<id[:2]>/<id>.json, sttllc-store/v1) into the log, oldest
+// first so append order keeps their recency. Each verified file is
+// removed once the log holding it is synced; files failing verification
+// are moved into quarantine/. Other directories (traces/) are left
+// alone.
+func (s *diskStore) importV1Locked(dirs []os.DirEntry) error {
+	type v1file struct {
+		path, id string
+		mtime    time.Time
+	}
+	var files []v1file
+	for _, d := range dirs {
+		if !d.IsDir() || len(d.Name()) != 2 {
+			continue
+		}
+		sub, err := os.ReadDir(filepath.Join(s.dir, d.Name()))
+		if err != nil {
+			return fmt.Errorf("scanning result store: %w", err)
+		}
+		for _, e := range sub {
+			id, ok := strings.CutSuffix(e.Name(), ".json")
+			if !ok || !validStoreID(id) || id[:2] != d.Name() || !e.Type().IsRegular() {
+				continue // temp files, strays
+			}
+			info, err := e.Info()
+			if err != nil {
+				continue
+			}
+			files = append(files, v1file{filepath.Join(s.dir, d.Name(), e.Name()), id, info.ModTime()})
+		}
+	}
+	if len(files) == 0 {
+		return nil
+	}
+	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
+	var imported []string
+	for _, v := range files {
+		payload, err := readV1(v.path)
+		if err != nil {
+			s.quarantineFile(v.path)
+			continue
+		}
+		if _, ok := s.entries[v.id]; !ok {
+			rec := encodeRecord(v.id, payload)
+			seg, off, err := s.appendLocked(rec)
+			if err != nil {
+				return fmt.Errorf("importing v1 result store: %w", err)
+			}
+			s.indexLocked(v.id, seg, off, int64(len(rec)))
+		}
+		imported = append(imported, v.path)
+	}
+	for _, seg := range s.segs {
+		if err := seg.f.Sync(); err != nil {
+			return fmt.Errorf("importing v1 result store: %w", err)
+		}
+	}
+	for _, p := range imported {
+		os.Remove(p)
+		os.Remove(filepath.Dir(p)) // only succeeds once the fan-out dir is empty
+	}
+	return nil
+}
+
+// readV1 returns a v1 result file's payload after checking its header
+// checksum.
+func readV1(path string) ([]byte, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	nl := bytes.IndexByte(b, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("store file %s: no header line", path)
-	}
-	magic, sum, ok := strings.Cut(string(b[:nl]), " ")
-	if !ok || magic != storeHeader {
-		return nil, fmt.Errorf("store file %s: bad header %q", path, b[:nl])
-	}
-	payload := b[nl+1:]
+	header, payload, ok := bytes.Cut(b, []byte{'\n'})
+	magic, sum, _ := strings.Cut(string(header), " ")
 	got := sha256.Sum256(payload)
-	if hex.EncodeToString(got[:]) != sum {
-		return nil, fmt.Errorf("store file %s: checksum mismatch", path)
+	if !ok || magic != storeMagicV1 || hex.EncodeToString(got[:]) != sum {
+		return nil, fmt.Errorf("store file %s: bad header or checksum", path)
 	}
 	return payload, nil
 }
 
-// quarantine moves a damaged file aside (never deletes: the bytes may
-// matter for diagnosis) and counts it. Best-effort — a failed move
-// leaves the file where it is, and it stays un-indexed either way.
-func (s *diskStore) quarantine(path string) {
+// quarantineFile moves a damaged v1 file aside and counts it.
+func (s *diskStore) quarantineFile(path string) {
 	qdir := filepath.Join(s.dir, "quarantine")
 	if err := os.MkdirAll(qdir, 0o755); err == nil {
 		os.Rename(path, filepath.Join(qdir, filepath.Base(path)))
@@ -198,8 +396,9 @@ func (s *diskStore) quarantine(path string) {
 }
 
 // has reports (without IO) whether id is indexed. A true answer can
-// still miss at get time if the file was evicted or fails verification
-// in between; callers treat has as a capacity hint, not a promise.
+// still miss at get time if the record was evicted or fails
+// verification in between; callers treat has as a capacity hint, not a
+// promise.
 func (s *diskStore) has(id string) bool {
 	if s == nil {
 		return false
@@ -207,61 +406,65 @@ func (s *diskStore) has(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.entries[id]
-	return ok
+	return ok && !s.closed
 }
 
 // get returns the stored dump for id, or nil on any kind of miss
-// (absent, evicted, corrupt — corrupt files are quarantined on the
-// way). A hit refreshes recency in memory and on disk (mtime), so LRU
-// order survives restarts.
+// (absent, evicted, corrupt — corrupt records are quarantined on the
+// way). A hit refreshes recency in memory.
 func (s *diskStore) get(id string) *sim.StatsDump {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	el, ok := s.entries[id]
-	if !ok {
+	if !ok || s.closed {
 		s.mu.Unlock()
 		s.misses.Add(1)
 		return nil
 	}
 	s.order.MoveToFront(el)
+	e := el.Value.(*storeEntry)
+	seg, off, n := e.seg, e.off, e.n
 	s.mu.Unlock()
 
-	path := s.path(id)
-	payload, err := s.readVerified(path)
-	if err != nil {
-		s.quarantine(path)
-		s.dropEntry(id)
-		s.misses.Add(1)
-		return nil
-	}
+	buf := make([]byte, n)
 	var dump sim.StatsDump
-	if err := json.Unmarshal(payload, &dump); err != nil {
-		s.quarantine(path)
-		s.dropEntry(id)
-		s.misses.Add(1)
-		return nil
+	got, err := seg.f.ReadAt(buf, off)
+	if err == nil {
+		var rid string
+		var payload []byte
+		if rid, payload, _, err = parseRecord(buf); err == nil && rid != id {
+			err = fmt.Errorf("record %s indexed as %s", rid, id)
+		}
+		if err == nil {
+			err = json.Unmarshal(payload, &dump)
+		}
 	}
-	now := time.Now()
-	os.Chtimes(path, now, now) // best-effort recency for the next scan
-	s.hits.Add(1)
-	return &dump
-}
+	if err == nil {
+		s.hits.Add(1)
+		return &dump
+	}
+	s.misses.Add(1)
 
-func (s *diskStore) dropEntry(id string) {
+	// Only a record still indexed where it was read is damaged: one
+	// evicted, compacted or closed since the lookup is a plain miss.
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[id]; ok {
-		s.total -= el.Value.(*storeEntry).size
-		s.order.Remove(el)
-		delete(s.entries, id)
+	damaged := !s.closed && s.entries[id] == el && e.seg == seg && e.off == off
+	if damaged {
+		s.dropLocked(el)
+		s.tidyLocked()
 	}
+	s.mu.Unlock()
+	if damaged {
+		s.quarantineRecord(seg.n, off, buf[:got])
+	}
+	return nil
 }
 
-// put persists a completed dump under id. Errors are swallowed after
-// counting — persistence is an optimization; a full or read-only disk
-// must not fail the job that just completed.
+// put persists a completed dump under id. Errors are swallowed —
+// persistence is an optimization; a full or read-only disk must not
+// fail the job that just completed.
 func (s *diskStore) put(id string, dump *sim.StatsDump) {
 	if s == nil {
 		return
@@ -270,61 +473,183 @@ func (s *diskStore) put(id string, dump *sim.StatsDump) {
 	if err != nil {
 		return // a dump of scalars cannot fail to marshal
 	}
-	sum := sha256.Sum256(payload)
-	dst := s.path(id)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+	rec := encodeRecord(id, payload)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
 		return
 	}
-	// Temp file in the destination directory so the rename is a same-
-	// filesystem atomic replace.
-	tmp, err := os.CreateTemp(filepath.Dir(dst), ".tmp-"+id+"-*")
+	if el, ok := s.entries[id]; ok {
+		// Concurrent writers, or a re-run after a non-cached failure
+		// record: the log already holds these bytes.
+		s.order.MoveToFront(el)
+		return
+	}
+	seg, off, err := s.appendLocked(rec)
 	if err != nil {
 		return
 	}
-	_, werr := fmt.Fprintf(tmp, "%s %s\n", storeHeader, hex.EncodeToString(sum[:]))
-	if werr == nil {
-		_, werr = tmp.Write(payload)
-	}
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	size := int64(len(payload)) + int64(len(storeHeader)+1+2*sha256.Size+1)
-
-	s.mu.Lock()
-	if el, ok := s.entries[id]; ok {
-		// Idempotent re-put (concurrent writers, or a re-run after a
-		// non-cached failure record): same content, refreshed recency.
-		s.total += size - el.Value.(*storeEntry).size
-		el.Value.(*storeEntry).size = size
-		s.order.MoveToFront(el)
-	} else {
-		s.entries[id] = s.order.PushFront(&storeEntry{id: id, size: size})
-		s.total += size
-	}
+	s.indexLocked(id, seg, off, int64(len(rec)))
 	s.writes.Add(1)
 	s.evictLocked()
-	s.mu.Unlock()
+	s.tidyLocked()
 }
 
-// evictLocked removes least-recently-used files until total <= budget.
-// Called with s.mu held; the unlink happens under the lock, which is
-// fine — evictions are rare and the files are small.
+// appendLocked writes rec to the active segment, creating one if there
+// is none, and seals it once it reaches budget/8. A failed write seals
+// the segment too, so a torn tail is never followed by a record whose
+// offset the index would get wrong.
+func (s *diskStore) appendLocked(rec []byte) (*segment, int64, error) {
+	if s.active == nil {
+		f, err := os.OpenFile(s.segPath(s.nextSeg), os.O_RDWR|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, 0, err
+		}
+		s.active = &segment{n: s.nextSeg, f: f}
+		s.segs = append(s.segs, s.active)
+		s.nextSeg++
+	}
+	seg := s.active
+	off := seg.size
+	if _, err := seg.f.Write(rec); err != nil {
+		s.active = nil
+		if info, serr := seg.f.Stat(); serr == nil {
+			seg.size = info.Size()
+		}
+		return nil, 0, err
+	}
+	seg.size += int64(len(rec))
+	if seg.size >= s.budget/8 {
+		s.active = nil
+	}
+	return seg, off, nil
+}
+
+// indexLocked records that id's record lives at (seg, off) and makes it
+// the most recently used entry.
+func (s *diskStore) indexLocked(id string, seg *segment, off, n int64) {
+	if el, ok := s.entries[id]; ok {
+		s.dropLocked(el)
+	}
+	s.entries[id] = s.order.PushFront(&storeEntry{id: id, seg: seg, off: off, n: n})
+	s.total += n
+	seg.live += n
+}
+
+func (s *diskStore) dropLocked(el *list.Element) {
+	e := el.Value.(*storeEntry)
+	s.order.Remove(el)
+	delete(s.entries, e.id)
+	s.total -= e.n
+	e.seg.live -= e.n
+}
+
+// evictLocked unindexes least-recently-used records until total <=
+// budget; their bytes go when tidyLocked rewrites or unlinks the
+// segments holding them.
 func (s *diskStore) evictLocked() {
 	for s.total > s.budget && s.order.Len() > 1 {
-		el := s.order.Back()
-		e := el.Value.(*storeEntry)
-		s.order.Remove(el)
-		delete(s.entries, e.id)
-		s.total -= e.size
-		os.Remove(s.path(e.id))
+		s.dropLocked(s.order.Back())
 		s.evictions.Add(1)
 	}
+}
+
+// tidyLocked restores the segment invariant — every segment holds at
+// least half live bytes — by unlinking segments with no live records
+// and rewriting forward those below half.
+func (s *diskStore) tidyLocked() {
+	// Backwards, so removing s.segs[i] or appending to s.segs while
+	// compacting never skips a segment not yet visited.
+	for i := len(s.segs) - 1; i >= 0; i-- {
+		switch seg := s.segs[i]; {
+		case seg.live == 0:
+			s.removeSegmentLocked(seg)
+		case 2*seg.live < seg.size:
+			s.compactLocked(seg)
+		}
+	}
+}
+
+// compactLocked rewrites seg's live records, in their append order,
+// into the active segment and then removes seg. Records that fail
+// verification on the way are quarantined and unindexed. An IO error
+// leaves seg (and the records not yet moved) in place for a later try.
+func (s *diskStore) compactLocked(seg *segment) {
+	if seg == s.active {
+		s.active = nil
+	}
+	var live []*storeEntry
+	for el := s.order.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*storeEntry); e.seg == seg {
+			live = append(live, e)
+		}
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].off < live[j].off })
+	var buf []byte
+	for _, e := range live {
+		if int64(cap(buf)) < e.n {
+			buf = make([]byte, e.n)
+		}
+		buf = buf[:e.n]
+		got, err := seg.f.ReadAt(buf, e.off)
+		if err != nil && !errors.Is(err, io.EOF) {
+			return
+		}
+		if id, _, _, err := parseRecord(buf[:got]); err != nil || id != e.id {
+			s.dropLocked(s.entries[e.id])
+			s.quarantineRecord(seg.n, e.off, buf[:got])
+			continue
+		}
+		to, off, err := s.appendLocked(buf)
+		if err != nil {
+			return
+		}
+		seg.live -= e.n
+		to.live += e.n
+		e.seg, e.off = to, off
+	}
+	s.removeSegmentLocked(seg)
+}
+
+func (s *diskStore) removeSegmentLocked(seg *segment) {
+	if seg == s.active {
+		s.active = nil
+	}
+	seg.f.Close()
+	os.Remove(seg.f.Name())
+	for i, o := range s.segs {
+		if o == seg {
+			s.segs = append(s.segs[:i], s.segs[i+1:]...)
+			break
+		}
+	}
+}
+
+// close syncs and closes the segments and releases the directory lock.
+// Afterwards the store behaves as empty: lookups miss, puts are
+// dropped. Idempotent; nil-safe.
+func (s *diskStore) close() error {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closeLocked()
+}
+
+func (s *diskStore) closeLocked() error {
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	var errs []error
+	for _, seg := range s.segs {
+		errs = append(errs, seg.f.Sync(), seg.f.Close())
+	}
+	s.segs, s.active = nil, nil
+	errs = append(errs, s.lock.Close())
+	return errors.Join(errs...)
 }
 
 // len and bytes report the index size for metrics; nil-safe.

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -511,7 +510,7 @@ func TestSweepConfigUnmarshalForms(t *testing.T) {
 // TestSweepAdmissionPinsStoreReads is the deterministic repro for the
 // counted-slots race: the old dry pass trusted store.has, an index-only
 // hint, so a store entry that turned out unreadable at admission time
-// (corrupt file, or evicted by a concurrent worker's write) left a
+// (corrupt record, or evicted by a concurrent worker's write) left a
 // counted-as-cached cell needing a queue slot the 429 check never
 // reserved. With a full queue that cell failed with "queue full during
 // admission" inside an admitted — supposedly all-or-nothing — sweep.
@@ -520,7 +519,7 @@ func TestSweepConfigUnmarshalForms(t *testing.T) {
 func TestSweepAdmissionPinsStoreReads(t *testing.T) {
 	dir := t.TempDir()
 
-	// Seed the store with one completed dump, then corrupt the file on
+	// Seed the store with one completed dump, then corrupt its record on
 	// disk after restart: the index still lists the entry (has == true)
 	// but any read quarantines it (get == nil).
 	seed := New(Config{Workers: 1, StoreDir: dir})
@@ -541,9 +540,7 @@ func TestSweepAdmissionPinsStoreReads(t *testing.T) {
 	if !s.store.has(id) {
 		t.Fatal("seeded dump not indexed after restart")
 	}
-	if err := os.WriteFile(s.store.path(id), []byte("sttllc-store/v1 feedface\ngarbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corruptRecord(t, s.store, id)
 
 	// Occupy the worker and the only queue slot, so free == 0.
 	started := make(chan string, 4)
