@@ -26,7 +26,7 @@ import (
 )
 
 // Line is a snapshot of one cache line's bookkeeping state, assembled
-// from the backing slabs for inspection (LineAt, Range, Evicted).
+// from the backing slabs for inspection (LineAt, Range).
 type Line struct {
 	Tag   uint64
 	Valid bool
@@ -457,11 +457,13 @@ func (c *Cache) SetActiveWays(n int) {
 	}
 }
 
-// Evicted describes a line pushed out by Fill or removed by Invalidate.
+// Evicted describes a line pushed out by Fill or removed by Invalidate:
+// just what a caller needs to write it back or move it elsewhere. The
+// victim's cold metadata is not copied out; inspect it with LineAt
+// before evicting if it matters.
 type Evicted struct {
 	Addr  uint64 // line-aligned address reconstructed from set+tag
 	Dirty bool
-	Line  Line
 }
 
 // snapshot assembles the Line view of (set, way) from the slabs. The
@@ -579,7 +581,6 @@ func (c *Cache) Fill(addr uint64, dirty bool, cycle int64) (ev Evicted, evicted 
 		ev = Evicted{
 			Addr:  c.AddrOf(set, c.tags[set*c.Ways+way]),
 			Dirty: c.dirty[mi]&bit != 0,
-			Line:  c.snapshot(set, way),
 		}
 		evicted = true
 		c.Stats.Evictions++
@@ -630,21 +631,20 @@ func (c *Cache) Invalidate(addr uint64) (ev Evicted, found bool) {
 	if !ok {
 		return Evicted{}, false
 	}
-	return c.InvalidateWay(set, way), true
+	return c.InvalidateWay(set, way)
 }
 
 // InvalidateWay removes the line at (set, way) and returns its final
-// state. Removing an already-invalid way returns a zero Evicted.
-func (c *Cache) InvalidateWay(set, way int) Evicted {
+// state; found is false (and ev zero) when the way was already invalid.
+func (c *Cache) InvalidateWay(set, way int) (ev Evicted, found bool) {
 	mi := set*c.maskWords + way>>6
 	bit := uint64(1) << uint(way&63)
 	if c.valid[mi]&bit == 0 {
-		return Evicted{}
+		return Evicted{}, false
 	}
-	ev := Evicted{
+	ev = Evicted{
 		Addr:  c.AddrOf(set, c.tags[set*c.Ways+way]),
 		Dirty: c.dirty[mi]&bit != 0,
-		Line:  c.snapshot(set, way),
 	}
 	c.valid[mi] &^= bit
 	c.dirty[mi] &^= bit
@@ -660,7 +660,7 @@ func (c *Cache) InvalidateWay(set, way int) Evicted {
 	}
 	c.lru[set*c.Ways+way] = 0
 	c.Stats.Invalidates++
-	return ev
+	return ev, true
 }
 
 // Range calls fn for every valid line, in (set, way) order, with a

@@ -142,8 +142,23 @@ func TestDirtyEvictionReported(t *testing.T) {
 	if !evicted || !ev.Dirty {
 		t.Errorf("expected dirty eviction, got %+v (evicted=%v)", ev, evicted)
 	}
+	if ev.Addr != 0x000 {
+		t.Errorf("dirty victim Addr = %#x, want 0x000", ev.Addr)
+	}
 	if c.Stats.DirtyEvict != 1 {
 		t.Errorf("DirtyEvict = %d, want 1", c.Stats.DirtyEvict)
+	}
+	// A nonzero set and tag: the victim's address is rebuilt exactly,
+	// and a clean victim next to it reports clean.
+	c.Fill(0x140, true, 5)
+	c.Fill(0x240, false, 6)
+	ev, evicted = c.Fill(0x340, false, 7)
+	if !evicted || ev != (Evicted{Addr: 0x140, Dirty: true}) {
+		t.Errorf("dirty victim = %+v (evicted=%v), want {0x140 true}", ev, evicted)
+	}
+	ev, evicted = c.Fill(0x440, false, 8)
+	if !evicted || ev != (Evicted{Addr: 0x240, Dirty: false}) {
+		t.Errorf("clean victim = %+v (evicted=%v), want {0x240 false}", ev, evicted)
 	}
 }
 
@@ -180,9 +195,9 @@ func TestInvalidate(t *testing.T) {
 
 func TestInvalidateWayOnInvalid(t *testing.T) {
 	c := newSmall()
-	ev := c.InvalidateWay(0, 0)
-	if ev.Dirty || ev.Addr != 0 || ev.Line.Valid {
-		t.Errorf("invalidating empty way should return zero Evicted, got %+v", ev)
+	ev, ok := c.InvalidateWay(0, 0)
+	if ok || ev != (Evicted{}) {
+		t.Errorf("invalidating empty way should return zero Evicted and false, got %+v, %v", ev, ok)
 	}
 }
 
@@ -195,8 +210,8 @@ func TestCollectExpired(t *testing.T) {
 		t.Fatalf("expired lines = %d, want 1", len(exp))
 	}
 	set, way := exp[0][0], exp[0][1]
-	ev := c.InvalidateWay(set, way)
-	if ev.Addr != 0x000 {
+	ev, ok := c.InvalidateWay(set, way)
+	if !ok || ev.Addr != 0x000 {
 		t.Errorf("expired line addr = %#x, want 0x000", ev.Addr)
 	}
 }

@@ -1,0 +1,75 @@
+package core_test
+
+import (
+	"testing"
+
+	"sttllc/internal/config"
+	"sttllc/internal/core"
+)
+
+type bankOp struct {
+	addr  uint64
+	write bool
+}
+
+// bankStream is a fixed synthetic L2 stream: 70% of accesses fall in a
+// 64 KB hot set, the rest stream over 4 MB, and 30% are writes.
+func bankStream(n int) []bankOp {
+	ops := make([]bankOp, n)
+	x := uint64(1)
+	for i := range ops {
+		x = x*6364136223846793005 + 1442695040888963407
+		span := uint64(4 << 20)
+		if x>>60 < 11 {
+			span = 64 << 10
+		}
+		ops[i] = bankOp{addr: (x >> 16) % span &^ 0x7f, write: (x>>8)%10 < 3}
+	}
+	return ops
+}
+
+// BenchmarkBankAccess replays one fixed stream into one bank's tier
+// chain for a C1 two-part bank, a baseline-STT uniform bank and a C1-L3
+// chain, firing every tier's retention ticks on schedule as a replay
+// does. One op is one access at the top of the chain.
+func BenchmarkBankAccess(b *testing.B) {
+	stream := bankStream(1 << 16)
+	for _, tc := range []struct {
+		name string
+		cfg  config.GPUConfig
+	}{
+		{"twopart-C1", config.C1()},
+		{"uniform-baselineSTT", config.BaselineSTT()},
+		{"chain-C1L3", config.C1L3()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			tiers, err := tc.cfg.NewTiers(tc.cfg.NewDRAM())
+			if err != nil {
+				b.Fatal(err)
+			}
+			type ticker struct {
+				t            core.Tier
+				next, period int64
+			}
+			var ticks []ticker
+			for _, t := range tiers {
+				if p := t.TickPeriod(); p > 0 {
+					ticks = append(ticks, ticker{t, p, p})
+				}
+			}
+			top := tiers[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now := int64(i) * 2
+				for j := range ticks {
+					for tk := &ticks[j]; tk.next <= now; tk.next += tk.period {
+						tk.t.Tick(tk.next)
+					}
+				}
+				op := stream[i%len(stream)]
+				top.Access(now, op.addr, op.write)
+			}
+		})
+	}
+}

@@ -69,8 +69,8 @@ func (b *TwoPartBank) SetLRActiveWays(now int64, n int) int {
 		sets := b.lr.Sets()
 		for set := 0; set < sets; set++ {
 			for way := n; way < cur; way++ {
-				ev := b.lr.InvalidateWay(set, way)
-				if !ev.Line.Valid {
+				ev, ok := b.lr.InvalidateWay(set, way)
+				if !ok {
 					continue
 				}
 				b.returnToHR(now, ev)
@@ -120,7 +120,7 @@ func (b *TwoPartBank) SetHRRetention(now int64, ret time.Duration) time.Duration
 	b.lastHRScan = now - now%b.hrTickCy
 	expired := b.hr.AppendExpired(b.scanDrop[:0], now, b.hrRetCy)
 	for _, sw := range expired {
-		ev := b.hr.InvalidateWay(sw[0], sw[1])
+		ev, _ := b.hr.InvalidateWay(sw[0], sw[1])
 		if ev.Dirty {
 			b.writeback(now, ev.Addr)
 		}

@@ -346,7 +346,7 @@ func (b *TwoPartBank) accessWrite(now int64, addr uint64) (int64, bool) {
 			}
 			b.hrPorts.acquire(addr, b.cfg.LineBytes, at, pipelineCycles) // HR read-out
 			done := at + bufferInsertCycles
-			ev := b.hr.InvalidateWay(set, way)
+			ev, _ := b.hr.InvalidateWay(set, way)
 			b.stats.MigrationsToLR++
 			b.energy.Migration += b.hrReadE + b.lrWriteE
 			b.energy.Buffer += b.bufE
@@ -528,7 +528,7 @@ func (b *TwoPartBank) scanLR(now int64) {
 		b.energy.Buffer += b.bufE
 	}
 	for _, sw := range drop {
-		ev := b.lr.InvalidateWay(sw[0], sw[1])
+		ev, _ := b.lr.InvalidateWay(sw[0], sw[1])
 		if ev.Dirty {
 			b.writeback(now, ev.Addr)
 			b.stats.OverflowWritebacks++
@@ -554,7 +554,7 @@ func (b *TwoPartBank) scanHR(now int64) {
 		}
 	}
 	for _, sw := range expired {
-		ev := b.hr.InvalidateWay(sw[0], sw[1])
+		ev, _ := b.hr.InvalidateWay(sw[0], sw[1])
 		if ev.Dirty {
 			b.writeback(now, ev.Addr)
 		}

@@ -9,6 +9,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -103,6 +104,9 @@ type replayer struct {
 	// ticking tracks each tier with periodic bookkeeping (SRAM tiers
 	// and refresh-free stacked tiers have none).
 	ticking []tickState
+	// due is the earliest next over ticking (MaxInt64 when nothing
+	// ticks), so advanceTo is one compare between ticks.
+	due int64
 }
 
 type tickState struct {
@@ -119,9 +123,10 @@ func newReplayer(cfg config.GPUConfig, rec *trace.Recording) *replayer {
 	rep := &replayer{s: newReplaySimulator(cfg, name)}
 	for _, b := range rep.s.flat {
 		if p := b.TickPeriod(); p > 0 {
-			rep.ticking = append(rep.ticking, tickState{b: b, next: p, period: p})
+			rep.ticking = append(rep.ticking, tickState{b: b, period: p})
 		}
 	}
+	rep.rearm(0)
 	return rep
 }
 
@@ -129,12 +134,29 @@ func newReplayer(cfg config.GPUConfig, rec *trace.Recording) *replayer {
 // order per bank — exactly the ticks the live engine fires before the
 // visit loop reaches an access issued at cycle now.
 func (rep *replayer) advanceTo(now int64) {
+	if now < rep.due {
+		return
+	}
+	due := int64(math.MaxInt64)
 	for i := range rep.ticking {
 		t := &rep.ticking[i]
 		for t.next <= now {
 			t.b.Tick(t.next)
 			t.next += t.period
 		}
+		due = min(due, t.next)
+	}
+	rep.due = due
+}
+
+// rearm schedules every bank's next tick one period after start, the
+// way a fresh timer engine arms them.
+func (rep *replayer) rearm(start int64) {
+	rep.due = math.MaxInt64
+	for i := range rep.ticking {
+		t := &rep.ticking[i]
+		t.next = start + t.period
+		rep.due = min(rep.due, t.next)
 	}
 }
 
@@ -150,9 +172,7 @@ func (rep *replayer) feed(r *trace.Record) {
 // the next kernel's timer engine re-arms every bank at start+period.
 func (rep *replayer) newSegment(start int64) {
 	rep.advanceTo(start)
-	for i := range rep.ticking {
-		rep.ticking[i].next = start + rep.ticking[i].period
-	}
+	rep.rearm(start)
 }
 
 // warmupReset replays the warmup boundary: the live reset fires when

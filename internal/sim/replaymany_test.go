@@ -2,10 +2,12 @@ package sim
 
 import (
 	"encoding/json"
+	"slices"
 	"sync"
 	"testing"
 
 	"sttllc/internal/config"
+	"sttllc/internal/core"
 	"sttllc/internal/trace"
 	"sttllc/internal/workloads"
 )
@@ -215,5 +217,52 @@ func TestReplayManySteadyStateAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, feedRound); avg != 0 {
 		t.Errorf("replay fan-out allocates %v per round, want 0", avg)
+	}
+}
+
+// tickLog is a bank that only records the cycles it is ticked at.
+type tickLog struct {
+	core.Bank
+	id  int64
+	log *[][2]int64
+}
+
+func (b tickLog) Tick(now int64) { *b.log = append(*b.log, [2]int64{b.id, now}) }
+
+// TestReplayerTickGate pins the gated tick timeline to the ungated
+// catch-up: at each visited cycle every bank, in order, fires every
+// period boundary up to that cycle, and a new segment re-arms every
+// bank one period after its start. Retention state is caught up lazily
+// on access, so result dumps alone would not notice a late tick.
+func TestReplayerTickGate(t *testing.T) {
+	periods := []int64{3, 5, 12}
+	var got, want [][2]int64
+	rep := &replayer{}
+	for i, p := range periods {
+		rep.ticking = append(rep.ticking, tickState{b: tickLog{id: int64(i), log: &got}, period: p})
+	}
+	rep.rearm(0)
+	next := slices.Clone(periods)
+	visit := func(nows ...int64) {
+		for _, now := range nows {
+			rep.advanceTo(now)
+			for i, p := range periods {
+				for ; next[i] <= now; next[i] += p {
+					want = append(want, [2]int64{int64(i), next[i]})
+				}
+			}
+			// Bank -1 marks the visit, so a tick fired late shows.
+			got = append(got, [2]int64{-1, now})
+			want = append(want, [2]int64{-1, now})
+		}
+	}
+	visit(0, 1, 2, 3, 3, 4, 10, 11, 25, 26, 30)
+	rep.newSegment(30)
+	for i, p := range periods {
+		next[i] = 30 + p
+	}
+	visit(31, 33, 34, 47, 60, 61)
+	if !slices.Equal(got, want) {
+		t.Errorf("ticks (bank, cycle)\n got %v\nwant %v", got, want)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 )
@@ -163,15 +162,8 @@ func ReadRecording(rd io.Reader) (*Recording, error) {
 	if meta != nil {
 		*rec = *meta
 	}
-	for {
-		record, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		rec.Records = append(rec.Records, record)
+	if rec.Records, err = r.readAll(); err != nil {
+		return nil, err
 	}
 	if err := rec.Validate(); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func sampleRecording() *Recording {
@@ -216,4 +217,57 @@ func TestNextValidatesIncrementally(t *testing.T) {
 			t.Errorf("truncation should unwrap to ErrUnexpectedEOF, got %v", err)
 		}
 	})
+}
+
+// syntheticRecording encodes an n-record v2 recording with GPU-like
+// shapes: small cycle deltas, line-aligned addresses spread over a few
+// MB, and a write mix.
+func syntheticRecording(tb testing.TB, n int) []byte {
+	rec := &Recording{Workload: "synthetic", Phases: []Phase{{Name: "k0"}}}
+	rec.Records = make([]Record, n)
+	cycle, x := int64(0), uint64(1)
+	for i := range rec.Records {
+		x = x*6364136223846793005 + 1442695040888963407
+		cycle += int64(x >> 61)
+		rec.Records[i] = Record{Cycle: cycle, Addr: (x >> 20) % (4 << 20) &^ 0x7f, SM: uint8(x>>8) % 15, Write: x>>40&3 == 0}
+	}
+	rec.EndCycle = cycle + 100
+	var buf bytes.Buffer
+	if err := WriteRecording(&buf, rec); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadRecordingAllocBound pins decode allocation to about twice the
+// result (chunks plus one exact copy): append regrowth costs ~5x.
+func TestReadRecordingAllocBound(t *testing.T) {
+	const n = 100_000
+	data := syntheticRecording(t, n)
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := ReadRecording(bytes.NewReader(data)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	result := float64(n * unsafe.Sizeof(Record{}))
+	if got := float64(res.AllocedBytesPerOp()); got > 2.5*result {
+		t.Errorf("decoding %d records allocated %.0f B/op = %.2fx the %.0f B result, want <= 2.5x",
+			n, got, got/result, result)
+	}
+}
+
+func BenchmarkReadRecording(b *testing.B) {
+	const n = 100_000
+	data := syntheticRecording(b, n)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadRecording(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
 }

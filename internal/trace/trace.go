@@ -217,6 +217,10 @@ func (r *Reader) Meta() (*Recording, error) {
 	return r.meta, nil
 }
 
+// maxRecordBytes is the longest encoding of one record: two maximal
+// uvarints (cycle delta, address) plus the SM and flags bytes.
+const maxRecordBytes = 2*binary.MaxVarintLen64 + 2
+
 // Next decodes the next record, validating it as it goes — the same
 // ordering/bounds discipline Validate applies to in-memory streams,
 // applied incrementally. A corrupt or truncated stream fails at the
@@ -226,24 +230,9 @@ func (r *Reader) Next() (Record, error) {
 	if err := r.readHeader(); err != nil {
 		return Record{}, err
 	}
-	delta, err := binary.ReadUvarint(r.r)
+	delta, addr, sm, flags, err := r.decode()
 	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return Record{}, io.EOF
-		}
-		return Record{}, r.corrupt(err)
-	}
-	addr, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return Record{}, r.corrupt(unexpected(err))
-	}
-	sm, err := r.r.ReadByte()
-	if err != nil {
-		return Record{}, r.corrupt(unexpected(err))
-	}
-	flags, err := r.r.ReadByte()
-	if err != nil {
-		return Record{}, r.corrupt(unexpected(err))
+		return Record{}, err
 	}
 	// The delta encoding cannot produce a decreasing cycle, but it can
 	// overflow int64; and set reserved flag bits mean the stream is not
@@ -273,6 +262,48 @@ func (r *Reader) Next() (Record, error) {
 	}, nil
 }
 
+// decode reads the raw fields of the next record. When a maximal
+// record is already buffered it decodes in place from bufio's buffer;
+// a record straddling the buffer end, or one that does not decode,
+// takes the byte-wise path, so every error comes from decodeBytes.
+func (r *Reader) decode() (delta, addr uint64, sm, flags byte, err error) {
+	if r.r.Buffered() >= maxRecordBytes {
+		buf, _ := r.r.Peek(maxRecordBytes)
+		if d, n := binary.Uvarint(buf); n > 0 {
+			if a, m := binary.Uvarint(buf[n:]); m > 0 {
+				sm, flags = buf[n+m], buf[n+m+1]
+				r.r.Discard(n + m + 2)
+				return d, a, sm, flags, nil
+			}
+		}
+	}
+	return r.decodeBytes()
+}
+
+// decodeBytes is decode's byte-wise path.
+func (r *Reader) decodeBytes() (delta, addr uint64, sm, flags byte, err error) {
+	delta, err = binary.ReadUvarint(r.r)
+	if err != nil {
+		if errors.Is(err, io.EOF) {
+			return 0, 0, 0, 0, io.EOF
+		}
+		return 0, 0, 0, 0, r.corrupt(err)
+	}
+	addr, err = binary.ReadUvarint(r.r)
+	if err != nil {
+		return 0, 0, 0, 0, r.corrupt(unexpected(err))
+	}
+	sm, err = r.r.ReadByte()
+	if err != nil {
+		return 0, 0, 0, 0, r.corrupt(unexpected(err))
+	}
+	flags, err = r.r.ReadByte()
+	if err != nil {
+		return 0, 0, 0, 0, r.corrupt(unexpected(err))
+	}
+	return delta, addr, sm, flags, nil
+}
+
 // corrupt wraps a decode failure with the index of the record being
 // decoded.
 func (r *Reader) corrupt(err error) error {
@@ -295,20 +326,51 @@ func Validate(records []Record) error {
 	return nil
 }
 
-// ReadAll decodes every record.
+// ReadAll decodes every record. On error it returns the records
+// decoded before the failure.
 func ReadAll(rd io.Reader) ([]Record, error) {
-	r := NewReader(rd)
-	var out []Record
+	return NewReader(rd).readAll()
+}
+
+// decodeChunk is the number of records readAll decodes into each
+// fixed-size chunk before the final exactly sized copy.
+const decodeChunk = 4096
+
+// readAll decodes the rest of the stream. Records land in fixed-size
+// chunks and are copied once into an exactly sized slice, so decoding
+// allocates about twice the result instead of append's regrowth
+// series. The length is never taken from the stream's own metadata: a
+// forged count must not be able to force a huge allocation.
+func (r *Reader) readAll() ([]Record, error) {
+	var (
+		full  [][]Record
+		chunk []Record
+		n     int
+		err   error
+	)
 	for {
-		rec, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
+		var rec Record
+		if rec, err = r.Next(); err != nil {
+			break
 		}
-		if err != nil {
-			return out, err
+		if len(chunk) == cap(chunk) {
+			full = append(full, chunk)
+			chunk = make([]Record, 0, decodeChunk)
 		}
-		out = append(out, rec)
+		chunk = append(chunk, rec)
+		n++
 	}
+	if errors.Is(err, io.EOF) {
+		err = nil
+	}
+	if n == 0 {
+		return nil, err
+	}
+	out := make([]Record, 0, n)
+	for _, c := range append(full, chunk) {
+		out = append(out, c...)
+	}
+	return out, err
 }
 
 func unexpected(err error) error {
