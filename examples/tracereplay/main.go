@@ -25,7 +25,9 @@ func main() {
 	// Record once, on the SRAM baseline.
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
-	live := sim.RunOne(config.BaselineSRAM(), spec, sim.Options{TraceWriter: w})
+	live := sim.RunOne(config.BaselineSRAM(), spec, sim.Options{
+		TraceSink: func(r trace.Record) { _ = w.Append(r) },
+	})
 	if err := w.Flush(); err != nil {
 		log.Fatal(err)
 	}

@@ -34,7 +34,8 @@ type AdaptiveSpec struct {
 	// controller may switch among (nil = {10ms, 40ms, 160ms}). Every
 	// entry must be at least the LR retention so the bank's TickPeriod
 	// — the finer of the two scan cadences — is invariant across
-	// switches and the simulator's captured tick cadence stays valid.
+	// switches, and the cadence observers sample at (invariant audits,
+	// tracer windows) stays the bank's retention-counter period.
 	RetentionLadder []time.Duration
 	// OverflowPerMille raises the migration threshold when an epoch's
 	// overflow writebacks exceed this fraction (per mille) of its

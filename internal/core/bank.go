@@ -52,14 +52,15 @@ type Bank interface {
 	// requester may proceed and whether the access hit in the bank.
 	// Callers must present non-decreasing arrival times.
 	Access(now int64, addr uint64, write bool) (done int64, hit bool)
-	// Tick advances retention bookkeeping to cycle now. The simulator
-	// calls it at the retention-counter granularity; calling it more
-	// often is harmless.
+	// Tick advances retention bookkeeping to cycle now. Access catches
+	// up by itself, so callers tick only before reading bank state
+	// between accesses (observers, reconfiguration, the warmup reset,
+	// end of run); ticking more often is harmless.
 	Tick(now int64)
-	// TickPeriod returns the cadence, in cycles, at which the bank wants
-	// Tick driven to keep retention bookkeeping current at simulated
-	// time, or 0 when the bank has no periodic bookkeeping (the
-	// simulation engine then schedules no tick events for it).
+	// TickPeriod returns the bank's retention-counter period in cycles,
+	// or 0 when the bank has no retention bookkeeping. Observers that
+	// sample bank state at a cadence (invariant audits, tracer windows)
+	// use it as theirs.
 	TickPeriod() int64
 	// Drain flushes dirty state at end of simulation (writebacks are
 	// charged to DRAM but not waited for).

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sttllc/internal/config"
-	"sttllc/internal/core"
 )
 
 type bankOp struct {
@@ -30,8 +29,8 @@ func bankStream(n int) []bankOp {
 
 // BenchmarkBankAccess replays one fixed stream into one bank's tier
 // chain for a C1 two-part bank, a baseline-STT uniform bank and a C1-L3
-// chain, firing every tier's retention ticks on schedule as a replay
-// does. One op is one access at the top of the chain.
+// chain. Like a replay, it relies on each tier catching its retention
+// counters up on access. One op is one access at the top of the chain.
 func BenchmarkBankAccess(b *testing.B) {
 	stream := bankStream(1 << 16)
 	for _, tc := range []struct {
@@ -47,28 +46,12 @@ func BenchmarkBankAccess(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			type ticker struct {
-				t            core.Tier
-				next, period int64
-			}
-			var ticks []ticker
-			for _, t := range tiers {
-				if p := t.TickPeriod(); p > 0 {
-					ticks = append(ticks, ticker{t, p, p})
-				}
-			}
 			top := tiers[0]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				now := int64(i) * 2
-				for j := range ticks {
-					for tk := &ticks[j]; tk.next <= now; tk.next += tk.period {
-						tk.t.Tick(tk.next)
-					}
-				}
 				op := stream[i%len(stream)]
-				top.Access(now, op.addr, op.write)
+				top.Access(int64(i)*2, op.addr, op.write)
 			}
 		})
 	}

@@ -8,7 +8,7 @@ import (
 
 // TestHRExpiryWritebackAtSimulatedTime pins down WHEN retention expiry
 // happens, not just whether: with periodic bank ticks driven by the
-// event engine (wired exactly as sim.drive wires them), a dirty block
+// event engine (wired as sim.drive wires its observer ticks), a dirty block
 // parked in HR past its retention window must be invalidated and
 // written back at the first retention-counter scan boundary after the
 // window closes — mid-run, at simulated time — rather than being
@@ -24,7 +24,7 @@ func TestHRExpiryWritebackAtSimulatedTime(t *testing.T) {
 		t.Fatalf("setup: dirty block should allocate into HR, stats %+v", b.stats)
 	}
 
-	// Wire periodic ticks the way the simulator's drive loop does: one
+	// Wire periodic ticks the way the simulator's observers do: one
 	// self-rearming event per bank at the bank's TickPeriod cadence.
 	eng := engine.New(0)
 	p := b.TickPeriod()

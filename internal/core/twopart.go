@@ -470,9 +470,10 @@ func (b *TwoPartBank) blockAddr(addr uint64) uint64 {
 // Due scans run merged in boundary-time order (LR before HR on ties), so
 // the global scan sequence is invariant under how catch-up windows are
 // batched: Tick(a) followed by Tick(b) performs exactly the scans of a
-// single Tick(b), in the same order. That invariance is what lets the
-// simulation engine fire periodic bank ticks at simulated time without
-// perturbing results relative to purely access-driven (lazy) ticking.
+// single Tick(b), in the same order. That invariance is what makes the
+// bank's own catch-up on Access the only retention timeline: an
+// observer that ticks the bank before reading it cannot perturb
+// results.
 func (b *TwoPartBank) Tick(now int64) {
 	for {
 		nextLR := b.lastLRScan + b.lrTickCy

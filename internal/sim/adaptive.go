@@ -127,6 +127,8 @@ func wrapped(cur, prev *core.BankStats) bool {
 // applies the most urgent transition that actually changes something.
 func (c *adaptiveController) step(ab *adaptiveBank, at int64) {
 	tp := ab.tp
+	// Retention scans due by now count toward this epoch's deltas.
+	tp.Tick(at)
 	st := tp.Stats()
 	if wrapped(st, &ab.prev) {
 		ab.prev = *st

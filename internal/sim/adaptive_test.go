@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sttllc/internal/config"
+	"sttllc/internal/core"
 	"sttllc/internal/metrics"
 )
 
@@ -111,5 +112,21 @@ func TestAdaptiveRunDeterministic(t *testing.T) {
 	}
 	if a, b := dump(), dump(); !bytes.Equal(a, b) {
 		t.Errorf("adaptive run not deterministic:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+	}
+}
+
+// An epoch must count the retention scans due by its cycle even when no
+// access has caught the bank up since: banks schedule no tick events,
+// so the controller brings each bank up to date before reading it.
+func TestAdaptiveEpochSeesDueExpiries(t *testing.T) {
+	s := New(config.C4(), exportSpec(t), Options{})
+	b := s.banks[0].(*core.TwoPartBank)
+	b.Access(0, 0x1000, false) // a read miss fills into HR
+	_, hrTick := b.TickCycles()
+	expired := int64(b.HRRetention().Seconds()*s.cfg.ClockHz) + hrTick
+	s.adapt.epoch(expired)
+	if st := b.Stats(); st.HRExpiries != 1 || st.ReconfigRetention != 1 {
+		t.Errorf("epoch after the HR line's retention saw %d expiries and took %d retention switches, want 1 and 1",
+			st.HRExpiries, st.ReconfigRetention)
 	}
 }

@@ -7,9 +7,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"sttllc/internal/config"
+	"sttllc/internal/core"
 	"sttllc/internal/metrics"
+	"sttllc/internal/refmodel"
 	"sttllc/internal/workloads"
 )
 
@@ -111,23 +114,76 @@ func TestStatsDumpCarriesPaperCounters(t *testing.T) {
 	}
 }
 
-// Observability must never perturb the simulation: a fully instrumented
-// run (enabled registry + tracer) and a bare run must produce
-// bit-identical Results.
+// Observability must never perturb the simulation. Observers — the
+// invariant audit, the tracer's bank windows, an enabled registry —
+// catch banks up at the retention-counter cadence, while a bare run
+// schedules no bank events at all; both must produce bit-identical
+// results, warmed and multi-kernel runs included.
 func TestInstrumentationDoesNotPerturbResults(t *testing.T) {
-	spec := exportSpec(t)
-	for _, cfg := range []config.GPUConfig{config.BaselineSRAM(), config.C2()} {
-		bare := RunOne(cfg, spec, Options{})
-		tr := metrics.NewTracer(cfg.ClockHz)
-		instr := RunOne(cfg, spec, Options{
-			Metrics: metrics.NewRegistry(true),
-			Tracer:  tr,
-		})
+	// The bare side must not audit: TestMain installs the checker as the
+	// package default, so lift it for the duration of the test.
+	saved := defaultInvariantCheck
+	defaultInvariantCheck = nil
+	defer func() { defaultInvariantCheck = saved }()
+	observed := func(clockHz float64, opts Options) (Options, *metrics.Tracer) {
+		tr := metrics.NewTracer(clockHz)
+		opts.Metrics = metrics.NewRegistry(true)
+		opts.Tracer = tr
+		opts.InvariantCheck = func(bank int, b core.Bank, now int64) error {
+			return refmodel.CheckBank(b, now)
+		}
+		return opts, tr
+	}
+
+	// Full-scale bfs runs 80k-125k cycles: past the first LR retention
+	// boundaries (43,750 cycles) and several C4 epochs, so the observers
+	// and the controller all fire.
+	spec, ok := workloads.ByName("bfs")
+	if !ok {
+		t.Fatal("bfs missing from suite")
+	}
+	third := RunOne(config.C1(), spec, Options{}).Instructions / 3
+	lr130 := config.C1()
+	lr130.Name = "C1-LR130us"
+	lr130.L2.LRRetention = 130 * time.Microsecond
+	cases := []struct {
+		cfg    config.GPUConfig
+		warmup uint64
+	}{
+		{config.BaselineSRAM(), 0},
+		{config.C2(), 0},
+		{config.C1(), third},
+		{config.C2L3(), third},
+		{config.C4(), third},
+		{lr130, third},
+	}
+	for _, c := range cases {
+		opts := Options{WarmupInstructions: c.warmup}
+		bare := RunOne(c.cfg, spec, opts)
+		obsOpts, tr := observed(c.cfg.ClockHz, opts)
+		instr := RunOne(c.cfg, spec, obsOpts)
 		if !reflect.DeepEqual(bare, instr) {
-			t.Errorf("%s: instrumented run diverged from bare run", cfg.Name)
+			t.Errorf("%s/warmup=%d: instrumented run diverged from bare run", c.cfg.Name, c.warmup)
 		}
 		if tr.Len() == 0 {
-			t.Errorf("%s: tracer captured no events", cfg.Name)
+			t.Errorf("%s: tracer captured no events", c.cfg.Name)
 		}
+	}
+
+	apps := workloads.Apps()
+	if len(apps) == 0 {
+		t.Fatal("no applications registered")
+	}
+	// At scale 0.6 each kernel of the first application outlasts one
+	// retention-counter period, so observers fire inside both drives.
+	app := apps[0]
+	for i := range app.Kernels {
+		app.Kernels[i] = app.Kernels[i].Scale(0.6)
+	}
+	cfg := config.C4()
+	bare := RunApp(cfg, app, Options{})
+	obsOpts, _ := observed(cfg.ClockHz, Options{})
+	if instr := RunApp(cfg, app, obsOpts); !reflect.DeepEqual(bare, instr) {
+		t.Errorf("%s/%s: instrumented application run diverged from bare run", cfg.Name, app.Name)
 	}
 }

@@ -17,9 +17,10 @@ var invariants = flag.Bool("invariants", true,
 
 // TestMain installs the refmodel invariant checker as the package-wide
 // default, so every simulation this package runs — golden tests,
-// integration tests, replay tests — audits bank state at each retention
-// tick and at drain. Disable with -invariants=false when bisecting an
-// unrelated failure.
+// integration tests, replay tests — audits bank state at each
+// retention-counter boundary and at drain. Disable with
+// -invariants=false to run the bare, observer-free path (CI runs the
+// package both ways).
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if *invariants {

@@ -1,8 +1,9 @@
 // Observability wiring: how one Simulator publishes into the metrics
 // registry and the timeline tracer. Everything here is read-side — the
 // registry adopts counters the actors already maintain, and the tracer
-// derives events from statistics deltas at the bank tick cadence — so
-// an instrumented run computes bit-identical results to a bare one.
+// derives events from statistics deltas at each bank's retention-counter
+// cadence, after catching the bank up the way its next access would —
+// so an instrumented run computes bit-identical results to a bare one.
 package sim
 
 import (

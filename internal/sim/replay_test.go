@@ -18,7 +18,9 @@ func recordRun(t *testing.T, cfg config.GPUConfig) (Result, []trace.Record) {
 	spec.WarpsPerSM = 6
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
-	r := RunOne(cfg, spec, Options{TraceWriter: w})
+	r := RunOne(cfg, spec, Options{
+		TraceSink: func(r trace.Record) { _ = w.Append(r) },
+	})
 	if err := w.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}

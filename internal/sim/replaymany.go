@@ -3,30 +3,28 @@
 // — a K-config sweep costs one full GPU simulation (the recording run)
 // plus K cheap bank replays, instead of K full simulations. The variants
 // are independent state machines over a read-only stream, so they replay
-// on one goroutine each; wall clock is one replay, not K. The replay
+// on one goroutine each; wall clock is one replay, not K. Banks catch
+// their retention counters up on access, so a replay feeds the records
+// straight into Access with no tick timeline of its own. The replay
 // loop is allocation-free in steady state (pinned by
 // TestReplayManySteadyStateAllocFree).
 package sim
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"sttllc/internal/config"
-	"sttllc/internal/core"
 	"sttllc/internal/trace"
 )
 
 // ReplayMany plays one recording into freshly built banks of every
 // configuration in a single pass over the stream and returns one Result
-// per configuration, in order. Each Result is byte-identical to what an
-// independent sim.Replay of the same stream into that configuration
-// produces; for the configuration the stream was recorded under, the
-// bank-side statistics and power window also match the recording run's
-// own dump exactly (warmup boundary, kernel-phase tick phasing, and end
-// cycle are all honored). Replays into *other* configurations are
+// per configuration, in order. For the configuration the stream was
+// recorded under, the bank-side statistics and power window match the
+// recording run's own dump exactly (the warmup boundary and end cycle
+// are both honored). Replays into *other* configurations are
 // trace-driven approximations: the stream was shaped by the recording
 // configuration's timing, and a variant's own latencies cannot feed
 // back into it (see DESIGN.md §13 for when this is and isn't exact).
@@ -69,50 +67,31 @@ func ReplayMany(rec *trace.Recording, cfgs []config.GPUConfig) []Result {
 	return out
 }
 
-// feedAll walks the stream, applying phase and warmup markers at the
-// record indices where the recording run applied them. Marker order
-// matches the live simulator: a kernel launch precedes the in-kernel
-// warmup reset at the same index.
+// feedAll walks the stream through the same Access path the live SMs
+// use, applying the warmup reset at the record index where the
+// recording run applied it. Kernel phase markers need no replay: a
+// bank's retention counters run on one timeline across launches.
 func (rep *replayer) feedAll(rec *trace.Recording) {
-	phase := 0
+	s := rep.s
 	warm := rec.Warmed()
 	for ri := range rec.Records {
-		for phase < len(rec.Phases) && rec.Phases[phase].Index == ri {
-			rep.newSegment(rec.Phases[phase].Cycle)
-			phase++
-		}
 		if warm && ri == rec.WarmupIndex {
-			rep.warmupReset(rec.WarmupCycle)
+			s.warmupReset(rec.WarmupCycle)
 			warm = false
 		}
-		rep.feed(&rec.Records[ri])
-	}
-	for ; phase < len(rec.Phases); phase++ {
-		rep.newSegment(rec.Phases[phase].Cycle)
+		r := &rec.Records[ri]
+		s.Access(r.Cycle, int(r.SM), r.Addr, r.Write)
 	}
 	if warm {
-		rep.warmupReset(rec.WarmupCycle)
+		s.warmupReset(rec.WarmupCycle)
 	}
 }
 
 // replayer drives one configuration's memory system from a record
-// stream, reproducing the live run's bank-visible call sequence: every
-// periodic retention tick fires at the cycle the event engine would
-// have fired it, before any access issued at or after that cycle.
+// stream. Banks catch their retention counters up on access, so the
+// stream alone reproduces the live run's bank-visible call sequence.
 type replayer struct {
 	s *Simulator
-	// ticking tracks each tier with periodic bookkeeping (SRAM tiers
-	// and refresh-free stacked tiers have none).
-	ticking []tickState
-	// due is the earliest next over ticking (MaxInt64 when nothing
-	// ticks), so advanceTo is one compare between ticks.
-	due int64
-}
-
-type tickState struct {
-	b      core.Bank
-	next   int64
-	period int64
 }
 
 func newReplayer(cfg config.GPUConfig, rec *trace.Recording) *replayer {
@@ -120,70 +99,7 @@ func newReplayer(cfg config.GPUConfig, rec *trace.Recording) *replayer {
 	if name == "" {
 		name = "replay"
 	}
-	rep := &replayer{s: newReplaySimulator(cfg, name)}
-	for _, b := range rep.s.flat {
-		if p := b.TickPeriod(); p > 0 {
-			rep.ticking = append(rep.ticking, tickState{b: b, period: p})
-		}
-	}
-	rep.rearm(0)
-	return rep
-}
-
-// advanceTo fires every pending tick with fire time <= now, in time
-// order per bank — exactly the ticks the live engine fires before the
-// visit loop reaches an access issued at cycle now.
-func (rep *replayer) advanceTo(now int64) {
-	if now < rep.due {
-		return
-	}
-	due := int64(math.MaxInt64)
-	for i := range rep.ticking {
-		t := &rep.ticking[i]
-		for t.next <= now {
-			t.b.Tick(t.next)
-			t.next += t.period
-		}
-		due = min(due, t.next)
-	}
-	rep.due = due
-}
-
-// rearm schedules every bank's next tick one period after start, the
-// way a fresh timer engine arms them.
-func (rep *replayer) rearm(start int64) {
-	rep.due = math.MaxInt64
-	for i := range rep.ticking {
-		t := &rep.ticking[i]
-		t.next = start + t.period
-		rep.due = min(rep.due, t.next)
-	}
-}
-
-// feed replays one access: catch the tick timeline up to the issue
-// cycle, then issue through the same Access path the live SMs use.
-func (rep *replayer) feed(r *trace.Record) {
-	rep.advanceTo(r.Cycle)
-	rep.s.Access(r.Cycle, int(r.SM), r.Addr, r.Write)
-}
-
-// newSegment begins a kernel phase at cycle start: the previous
-// kernel's drive fired its ticks through its end cycle (== start), and
-// the next kernel's timer engine re-arms every bank at start+period.
-func (rep *replayer) newSegment(start int64) {
-	rep.advanceTo(start)
-	rep.rearm(start)
-}
-
-// warmupReset replays the warmup boundary: the live reset fires when
-// the drive loop visits the boundary cycle, before that cycle's ticks,
-// so only ticks strictly before it are due first.
-func (rep *replayer) warmupReset(boundary int64) {
-	rep.advanceTo(boundary - 1)
-	for _, b := range rep.s.flat {
-		b.ResetStats()
-		b.RebaseRewriteClock(boundary)
-	}
+	return &replayer{s: newReplaySimulator(cfg, name)}
 }
 
 // finalize drains the replayed memory system at the recording's end
@@ -194,7 +110,6 @@ func (rep *replayer) finalize(rec *trace.Recording) Result {
 	if end == 0 && len(rec.Records) > 0 {
 		end = rec.Records[len(rec.Records)-1].Cycle
 	}
-	rep.advanceTo(end)
 	start := int64(0)
 	if rec.Warmed() {
 		start = rec.WarmupCycle

@@ -2,12 +2,10 @@ package sim
 
 import (
 	"encoding/json"
-	"slices"
 	"sync"
 	"testing"
 
 	"sttllc/internal/config"
-	"sttllc/internal/core"
 	"sttllc/internal/trace"
 	"sttllc/internal/workloads"
 )
@@ -74,28 +72,33 @@ func TestReplayManyBitIdenticalToRecordingRun(t *testing.T) {
 func TestReplayManyBitIdenticalWithWarmup(t *testing.T) {
 	// Warmed-up runs reset bank statistics mid-stream and window the
 	// rate metrics; the recording carries the boundary so replays land
-	// the reset at the identical cycle. (Exact when the boundary falls
-	// strictly inside the run — the normal case; see DESIGN.md §13.)
+	// the reset at the identical cycle — including a budget the workload
+	// retires inside, where the boundary is the end of the run. (The
+	// workload ends before C4's first controller epoch; replays run no
+	// controller.)
 	spec := sweepSpec()
 	cold := RunOne(config.C1(), spec, Options{})
-	opts := Options{WarmupInstructions: cold.Instructions / 2}
-	for _, cfg := range []config.GPUConfig{config.C1(), config.C2L3()} {
-		live, rec := Record(cfg, spec, opts)
-		if !rec.Warmed() || rec.WarmupIndex == 0 || rec.WarmupIndex >= len(rec.Records) {
-			t.Fatalf("%s: warmup boundary not inside the stream: index %d of %d",
-				cfg.Name, rec.WarmupIndex, len(rec.Records))
-		}
-		rep := ReplayMany(rec, []config.GPUConfig{cfg})[0]
-		if got, want := bankSide(t, rep.Dump()), bankSide(t, live.Dump()); got != want {
-			t.Errorf("%s: warmed replay dump differs\n got %s\nwant %s", cfg.Name, got, want)
+	for _, budget := range []uint64{cold.Instructions / 2, 1 << 40} {
+		opts := Options{WarmupInstructions: budget}
+		for _, cfg := range []config.GPUConfig{config.C1(), config.C2L3(), config.C4()} {
+			live, rec := Record(cfg, spec, opts)
+			inside := rec.WarmupIndex > 0 && rec.WarmupIndex < len(rec.Records)
+			if !rec.Warmed() || inside != (budget < cold.Instructions) {
+				t.Fatalf("%s/%d: warmup boundary at index %d of %d",
+					cfg.Name, budget, rec.WarmupIndex, len(rec.Records))
+			}
+			rep := ReplayMany(rec, []config.GPUConfig{cfg})[0]
+			if got, want := bankSide(t, rep.Dump()), bankSide(t, live.Dump()); got != want {
+				t.Errorf("%s/%d: warmed replay dump differs\n got %s\nwant %s", cfg.Name, budget, got, want)
+			}
 		}
 	}
 }
 
 func TestReplayManyAppBitIdentical(t *testing.T) {
 	// Multi-kernel recordings carry one phase marker per launch; the
-	// replayed tick timeline re-arms at each, like the live per-kernel
-	// drives do.
+	// replay ignores them, because the banks' retention timeline runs
+	// unbroken across launches in the live run too.
 	apps := workloads.Apps()
 	if len(apps) == 0 {
 		t.Skip("no applications registered")
@@ -147,14 +150,22 @@ func TestReplayManyAnonymousAndEmpty(t *testing.T) {
 }
 
 func TestReplayManyRejectsMalformedRecording(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("malformed recording did not panic")
-		}
-	}()
-	ReplayMany(&trace.Recording{
-		Records: []trace.Record{{Cycle: 10}, {Cycle: 5}},
-	}, []config.GPUConfig{config.C1()})
+	outOfOrder := []trace.Record{{Cycle: 10}, {Cycle: 5}}
+	for name, replay := range map[string]func(){
+		"ReplayMany": func() {
+			ReplayMany(&trace.Recording{Records: outOfOrder}, []config.GPUConfig{config.C1()})
+		},
+		"Replay": func() { Replay(config.C1(), outOfOrder) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: malformed recording did not panic", name)
+				}
+			}()
+			replay()
+		}()
+	}
 }
 
 func TestConcurrentReplaysShareOneRecording(t *testing.T) {
@@ -190,8 +201,8 @@ func TestConcurrentReplaysShareOneRecording(t *testing.T) {
 }
 
 func TestReplayManySteadyStateAllocFree(t *testing.T) {
-	// The fan-out hot loop — tick catch-up plus Access, per config —
-	// must not allocate once the banks reach steady state.
+	// The fan-out hot loop — Access per record, per config — must not
+	// allocate once the banks reach steady state.
 	cfgs := []config.GPUConfig{config.C1(), config.C2()}
 	reps := make([]*replayer, len(cfgs))
 	rec := &trace.Recording{}
@@ -208,7 +219,7 @@ func TestReplayManySteadyStateAllocFree(t *testing.T) {
 			now += 7
 			r := trace.Record{Cycle: now, Addr: uint64(k%lines) << 7, SM: uint8(k % 8), Write: k%3 == 0}
 			for _, rep := range reps {
-				rep.feed(&r)
+				rep.s.Access(r.Cycle, int(r.SM), r.Addr, r.Write)
 			}
 		}
 	}
@@ -217,52 +228,5 @@ func TestReplayManySteadyStateAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, feedRound); avg != 0 {
 		t.Errorf("replay fan-out allocates %v per round, want 0", avg)
-	}
-}
-
-// tickLog is a bank that only records the cycles it is ticked at.
-type tickLog struct {
-	core.Bank
-	id  int64
-	log *[][2]int64
-}
-
-func (b tickLog) Tick(now int64) { *b.log = append(*b.log, [2]int64{b.id, now}) }
-
-// TestReplayerTickGate pins the gated tick timeline to the ungated
-// catch-up: at each visited cycle every bank, in order, fires every
-// period boundary up to that cycle, and a new segment re-arms every
-// bank one period after its start. Retention state is caught up lazily
-// on access, so result dumps alone would not notice a late tick.
-func TestReplayerTickGate(t *testing.T) {
-	periods := []int64{3, 5, 12}
-	var got, want [][2]int64
-	rep := &replayer{}
-	for i, p := range periods {
-		rep.ticking = append(rep.ticking, tickState{b: tickLog{id: int64(i), log: &got}, period: p})
-	}
-	rep.rearm(0)
-	next := slices.Clone(periods)
-	visit := func(nows ...int64) {
-		for _, now := range nows {
-			rep.advanceTo(now)
-			for i, p := range periods {
-				for ; next[i] <= now; next[i] += p {
-					want = append(want, [2]int64{int64(i), next[i]})
-				}
-			}
-			// Bank -1 marks the visit, so a tick fired late shows.
-			got = append(got, [2]int64{-1, now})
-			want = append(want, [2]int64{-1, now})
-		}
-	}
-	visit(0, 1, 2, 3, 3, 4, 10, 11, 25, 26, 30)
-	rep.newSegment(30)
-	for i, p := range periods {
-		next[i] = 30 + p
-	}
-	visit(31, 33, 34, 47, 60, 61)
-	if !slices.Equal(got, want) {
-		t.Errorf("ticks (bank, cycle)\n got %v\nwant %v", got, want)
 	}
 }

@@ -31,13 +31,10 @@ type Options struct {
 	EnableWriteVariation bool
 	// MaxCycles aborts runaway simulations (0 = no limit).
 	MaxCycles int64
-	// TraceWriter, when non-nil, records every L2-bound access for
-	// later offline replay (see Replay).
-	TraceWriter *trace.Writer
 	// TraceSink, when non-nil, receives every L2-bound access as it is
-	// issued — the in-memory counterpart of TraceWriter. Record uses it
-	// to capture a trace.Recording without a round trip through the
-	// wire format.
+	// issued. Record uses it to capture a trace.Recording in memory; to
+	// stream to a trace.Writer, pass a sink that calls Append (write
+	// errors latch in the writer and surface at Flush).
 	TraceSink func(trace.Record)
 	// WarmupInstructions, when positive, runs that many instructions
 	// first and then resets every statistic (keeping cache contents and
@@ -54,12 +51,13 @@ type Options struct {
 	// bank refresh/expiry windows, swap-buffer overflow drains, DRAM
 	// writeback progress — as Chrome-trace events in simulated time.
 	Tracer *metrics.Tracer
-	// InvariantCheck, when non-nil, audits each bank's live state after
-	// every periodic retention tick and after the end-of-run drain. A
-	// returned error panics: a violated invariant means simulator state
-	// is already corrupt and any further results would be garbage.
-	// When nil, the package-level default installed by the test harness
-	// applies (nil outside tests — production runs pay nothing).
+	// InvariantCheck, when non-nil, audits each tier's live state at
+	// every retention-counter boundary (the tier is caught up to that
+	// cycle first) and after the end-of-run drain. A returned error
+	// panics: a violated invariant means simulator state is already
+	// corrupt and any further results would be garbage. When nil, the
+	// package-level default installed by the test harness applies (nil
+	// outside tests — production runs pay nothing).
 	InvariantCheck func(bank int, b core.Bank, now int64) error
 	// skipSMs builds the memory system only (newReplaySimulator sets
 	// it): replays drive Access directly, so SMs would sit idle.
@@ -208,13 +206,6 @@ func (s *Simulator) buildSMs(spec workloads.Spec) {
 // its set index uses the full set range — interleaving by raw address
 // would alias bank-selection bits into the index and waste sets.
 func (s *Simulator) Access(now int64, smID int, addr uint64, write bool) int64 {
-	if s.opts.TraceWriter != nil {
-		// Recording failures (e.g. a full disk) must not corrupt the
-		// simulation; they surface when the writer is flushed.
-		_ = s.opts.TraceWriter.Append(trace.Record{
-			Cycle: now, Addr: addr, SM: uint8(smID), Write: write,
-		})
-	}
 	if s.opts.TraceSink != nil {
 		s.opts.TraceSink(trace.Record{
 			Cycle: now, Addr: addr, SM: uint8(smID), Write: write,
@@ -309,7 +300,7 @@ func (s *Simulator) Run() Result {
 }
 
 // RunContext executes the kernel like Run, but stops early — at the next
-// periodic cancellation check, which rides the bank-tick timeline so the
+// periodic cancellation check, which rides the timer engine so the
 // per-event hot path is untouched — when ctx is cancelled or its
 // deadline passes. On cancellation it returns the statistics accumulated
 // so far (a partial but internally consistent Result) together with
@@ -353,7 +344,7 @@ func (s *Simulator) finalizeWindow(start, end int64) Result {
 }
 
 // peekOr returns the engine's earliest event time, or MaxInt64 when it
-// is empty — the drive loop's cheap "is a bank tick due" guard.
+// is empty — the drive loop's cheap "is a timer due" guard.
 // advanceOr fires everything due through now and returns the next
 // pending fire time, or MaxInt64 when the engine is drained.
 func advanceOr(e *engine.Engine, now int64) int64 {
@@ -400,9 +391,13 @@ type smActor struct {
 // its NextWake time (priority = SM ID, preserving the per-cycle step
 // order), so idle SMs cost nothing and the next interesting cycle is
 // the engine's earliest event rather than a scan over all SMs. A second
-// engine carries the periodic bank retention ticks; keeping those on
-// their own timeline means bank bookkeeping never perturbs the
-// SM-visible cycle sequence (jump targets, MaxCycles end values).
+// engine carries the timers — the C4 epoch, the cancellation poll, and
+// the observer ticks of invariant audits and tracer bank windows — so
+// they never perturb the SM-visible cycle sequence (jump targets,
+// MaxCycles end values). Bank retention needs no events: each bank
+// catches its retention counters up on access, and every reader of bank
+// state (observers, the C4 controller, the warmup reset, finalize)
+// catches it up to its own cycle first.
 //
 // A positive warmupBudget makes the warmup boundary an event on the
 // same timeline — once the budget is spent, statistics reset in place
@@ -415,35 +410,44 @@ func (s *Simulator) drive(start int64, warmupBudget uint64) (boundary, end int64
 	}
 	eng := engine.New(start)
 	timers := engine.New(start)
-	for bi, b := range s.flat {
-		if p := b.TickPeriod(); p > 0 {
-			bi, b := bi, b
-			var tick engine.Func
-			if s.tracer == nil {
-				tick = func(at int64) {
-					b.Tick(at)
-					s.auditBank(bi, b, at)
-					timers.Schedule(at+p, tick)
-				}
-			} else {
-				// Traced variant: identical Tick call, then emit the
-				// window's activity from the stats delta. Observation
-				// never feeds back into simulation state.
-				bt := s.newBankTrace(bi, b)
-				tick = func(at int64) {
-					b.Tick(at)
-					s.auditBank(bi, b, at)
-					bt.emit(at)
-					timers.Schedule(at+p, tick)
-				}
+	// obsSched/obsFired count the observer ticks' events so they can be
+	// subtracted from the engine totals below, like the cancellation
+	// poll's: a bank catches up on its next access anyway, so audited,
+	// traced, and bare runs publish identical counters.
+	var obsSched, obsFired uint64
+	if s.check != nil || s.tracer != nil {
+		for bi, b := range s.flat {
+			p := b.TickPeriod()
+			if p <= 0 {
+				continue
 			}
-			timers.Schedule(start+p, tick)
+			// Observers sample at the retention-counter cadence: catch
+			// the tier up, audit it, then emit the window's activity
+			// from the stats delta. Observation never feeds back into
+			// simulation state.
+			var bt *bankTrace
+			if s.tracer != nil {
+				bt = s.newBankTrace(bi, b)
+			}
+			var observe engine.Func
+			observe = func(at int64) {
+				obsFired++
+				b.Tick(at)
+				s.auditBank(bi, b, at)
+				if bt != nil {
+					bt.emit(at)
+				}
+				obsSched++
+				timers.Schedule(at+p, observe)
+			}
+			obsSched++
+			timers.Schedule(start+p, observe)
 		}
 	}
 	if s.adapt != nil {
-		// The C4 epoch event rides the timer timeline like the bank
-		// ticks: one self-rearming event per epoch, so the per-cycle and
-		// per-access hot paths never see the controller.
+		// The C4 epoch event rides the timer timeline: one self-rearming
+		// event per epoch, so the per-cycle and per-access hot paths
+		// never see the controller.
 		ep := s.adapt.spec.EpochCycles
 		var epoch engine.Func
 		epoch = func(at int64) {
@@ -522,26 +526,14 @@ func (s *Simulator) drive(start int64, warmupBudget uint64) (boundary, end int64
 	visitedThrough := start
 	for {
 		if warming && (issuedTotal >= warmupBudget || live == 0) {
-			// The warmup boundary: reset statistics in place. Unsettled
-			// stall debt predates the boundary and dies with the stats.
-			for _, sm := range s.sms {
-				sm.ResetStats()
-			}
-			for _, b := range s.flat {
-				b.ResetStats()
-				b.RebaseRewriteClock(now)
-			}
-			if s.adapt != nil {
-				s.adapt.rebase()
-			}
+			// The warmup boundary. Unsettled stall debt predates the
+			// boundary and dies with the stats.
+			s.warmupReset(now)
 			for _, a := range actors {
 				a.lastSeq = seq - 1
 			}
 			boundary = now
 			warming = false
-			if s.onWarmupReset != nil {
-				s.onWarmupReset(now)
-			}
 		}
 		if !warming && s.opts.MaxCycles > 0 && now >= s.opts.MaxCycles {
 			break
@@ -648,23 +640,11 @@ func (s *Simulator) drive(start int64, warmupBudget uint64) (boundary, end int64
 	if warming {
 		// The workload retired inside the warmup budget: the boundary is
 		// the end of the run and the measured window is empty.
-		for _, sm := range s.sms {
-			sm.ResetStats()
-		}
-		for _, b := range s.flat {
-			b.ResetStats()
-			b.RebaseRewriteClock(now)
-		}
-		if s.adapt != nil {
-			s.adapt.rebase()
-		}
+		s.warmupReset(now)
 		for _, a := range actors {
 			a.lastSeq = seq - 1
 		}
 		boundary = now
-		if s.onWarmupReset != nil {
-			s.onWarmupReset(now)
-		}
 	}
 	for _, a := range actors {
 		if a.selfAccounted {
@@ -676,9 +656,30 @@ func (s *Simulator) drive(start int64, warmupBudget uint64) (boundary, end int64
 			a.sm.AccrueStoreStalls(gap)
 		}
 	}
-	s.engSched += eng.ScheduledTotal() + timers.ScheduledTotal() - pollSched
-	s.engFired += eng.FiredTotal() + timers.FiredTotal() - pollFired
+	s.engSched += eng.ScheduledTotal() + timers.ScheduledTotal() - pollSched - obsSched
+	s.engFired += eng.FiredTotal() + timers.FiredTotal() - pollFired - obsFired
 	return boundary, now
+}
+
+// warmupReset applies the warmup boundary at cycle now, in live runs and
+// replays alike: retention scans due strictly before the boundary land
+// in the warmup window, then every statistic resets in place while
+// cache contents and timing state are kept.
+func (s *Simulator) warmupReset(now int64) {
+	for _, sm := range s.sms {
+		sm.ResetStats()
+	}
+	for _, b := range s.flat {
+		b.Tick(now - 1)
+		b.ResetStats()
+		b.RebaseRewriteClock(now)
+	}
+	if s.adapt != nil {
+		s.adapt.rebase()
+	}
+	if s.onWarmupReset != nil {
+		s.onWarmupReset(now)
+	}
 }
 
 // cancellable reports whether this run carries a context that can
@@ -867,17 +868,10 @@ func RunOneContext(ctx context.Context, cfg config.GPUConfig, spec workloads.Spe
 // live simulator would apply. It enables offline cache studies: capture
 // one trace, evaluate any bank organization against it. The returned
 // Result carries bank statistics and power; IPC fields are zero (no SMs
-// run during replay).
+// run during replay). It is ReplayMany of an anonymous recording, so
+// records must be in non-decreasing cycle order.
 func Replay(cfg config.GPUConfig, records []trace.Record) Result {
-	s := newReplaySimulator(cfg, "replay")
-	var last int64
-	for _, rec := range records {
-		s.Access(rec.Cycle, int(rec.SM), rec.Addr, rec.Write)
-		last = rec.Cycle
-	}
-	r := s.finalize(last)
-	r.Benchmark = "replay"
-	return r
+	return ReplayMany(&trace.Recording{Records: records}, []config.GPUConfig{cfg})[0]
 }
 
 // newReplaySimulator builds a Simulator whose memory system is live but
