@@ -23,17 +23,21 @@
 //	{"warmup":true,"cycle":20000}                                  // warmup boundary (at most one)
 //
 // Access fields: "cycle" (required, non-decreasing), "addr" (required;
-// JSON number or "0x..." hex string), "op" (required, "R" or "W",
-// case-insensitive), "sm" (default 0; must be < the header's SM count),
-// and optionally "size" in bytes. A sized access expands into one
-// line-aligned record per cache line it touches — the shape the bank
-// models replay — while an access with no size becomes exactly one
-// record at the raw address. Blank lines and lines starting with '#'
-// are ignored.
+// a JSON number, or a string of hex digits with or without a 0x prefix
+// — a string address is always hex, so "10" and "0x10" are both 16),
+// "op" (required, "R" or "W", case-insensitive), "sm" (default 0; must
+// be < the header's SM count), and optionally "size" in bytes. A sized
+// access expands into one line-aligned record per cache line it
+// touches — the shape the bank models replay — while an access with no
+// size becomes exactly one record at the raw address. Blank lines and
+// lines starting with '#' are ignored.
 //
 // The parser is streaming — constant memory per line — and validating:
 // a malformed line fails immediately with an *Error carrying both the
 // 1-based line number and the 0-based index of the offending record.
+// Plain access lines take a scanner that allocates nothing (scan.go);
+// every other line, and any access line it declines, is decoded by
+// encoding/json, which defines the format.
 package ingest
 
 import (
@@ -120,7 +124,7 @@ type line struct {
 	SM    *int     `json:"sm,omitempty"`
 }
 
-// address accepts a JSON number or a "0x..." / decimal string.
+// address accepts a JSON number or a hex string (see parseHexAddr).
 type address uint64
 
 func (a *address) UnmarshalJSON(b []byte) error {
@@ -129,14 +133,9 @@ func (a *address) UnmarshalJSON(b []byte) error {
 		if err := json.Unmarshal(b, &s); err != nil {
 			return err
 		}
-		v, err := strconv.ParseUint(strings.TrimPrefix(strings.ToLower(s), "0x"), 16, 64)
+		v, err := parseHexAddr([]byte(s))
 		if err != nil {
-			// Not hex: accept a plain decimal string too.
-			if v, derr := strconv.ParseUint(s, 10, 64); derr == nil {
-				*a = address(v)
-				return nil
-			}
-			return fmt.Errorf("address %q: %v", s, err)
+			return err
 		}
 		*a = address(v)
 		return nil
@@ -160,9 +159,14 @@ type Parser struct {
 	count   int // records emitted
 	last    int64
 
-	// pending holds the line-expanded records of a sized access not yet
-	// drained by Next.
+	// pending holds the line-expanded records of the last access;
+	// pending[next:] are not yet drained by Next.
 	pending []trace.Record
+	next    int
+	// l and vals hold the line being applied; reused, so a scanned
+	// access line allocates nothing.
+	l    line
+	vals accessVals
 
 	phases      []trace.Phase
 	warmupSeen  bool
@@ -287,12 +291,13 @@ func (p *Parser) Next() (trace.Record, error) {
 		return trace.Record{}, err
 	}
 	for {
-		if len(p.pending) > 0 {
-			rec := p.pending[0]
-			p.pending = p.pending[1:]
+		if p.next < len(p.pending) {
+			rec := p.pending[p.next]
+			p.next++
 			p.count++
 			return rec, nil
 		}
+		p.pending, p.next = p.pending[:0], 0
 		raw, ok := p.scanLine()
 		if !ok {
 			if p.err != nil {
@@ -300,11 +305,13 @@ func (p *Parser) Next() (trace.Record, error) {
 			}
 			return trace.Record{}, io.EOF
 		}
-		var l line
-		if err := decodeLine(raw, &l); err != nil {
-			return trace.Record{}, p.fail(err)
+		if !scanAccess(raw, &p.l, &p.vals) {
+			p.l = line{}
+			if err := decodeLine(raw, &p.l); err != nil {
+				return trace.Record{}, p.fail(err)
+			}
 		}
-		if err := p.apply(&l); err != nil {
+		if err := p.apply(&p.l); err != nil {
 			return trace.Record{}, err
 		}
 	}

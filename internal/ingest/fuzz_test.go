@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"sttllc/internal/trace"
@@ -63,6 +64,42 @@ func FuzzImporter(f *testing.F) {
 			if int(r.SM) >= 15 {
 				t.Fatalf("record %d carries out-of-range SM %d past the bounds pass", i, r.SM)
 			}
+		}
+	})
+}
+
+// FuzzNDJSONLine holds the access-line scanner to encoding/json: any
+// line the scanner accepts must decode through decodeLine, the format's
+// definition, to an equal line. Lines it declines take decodeLine
+// anyway, so they need no check. Reproducers go to
+// testdata/fuzz/FuzzNDJSONLine.
+func FuzzNDJSONLine(f *testing.F) {
+	for _, s := range []string{
+		`{"cycle":120,"addr":"0x7f001200","size":512,"op":"R","sm":3}`,
+		`{"cycle":0,"addr":4096,"op":"w"}`,
+		` { "sm" : 14 , "op" : "W" , "addr" : "ABCdef" , "cycle" : 18446744073709551615 } `,
+		`{"cycle":1,"addr":"0x10","op":"R","cycle":2}`,
+		`{"Cycle":1,"addr":1,"op":"R"}`,
+		`{"cycle":1.0,"addr":1,"op":"R"}`,
+		`{"cycle":01,"addr":1,"op":"R"}`,
+		`{"cycle":1,"addr":"\u0030x1","op":"R"}`,
+		`{"phase":"k","cycle":5}`,
+		`{}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var fast line
+		var v accessVals
+		if !scanAccess(raw, &fast, &v) {
+			return
+		}
+		var slow line
+		if err := decodeLine(raw, &slow); err != nil {
+			t.Fatalf("scanner accepted %q, which decodeLine rejects: %v", raw, err)
+		}
+		if !reflect.DeepEqual(fast, slow) {
+			t.Fatalf("%q: scanner decoded %+v, decodeLine %+v", raw, fast, slow)
 		}
 	})
 }

@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"time"
 
 	"sttllc/internal/config"
@@ -49,8 +53,8 @@ type job struct {
 	req SimulationRequest
 
 	state  jobState
-	dump   *sim.StatsDump // set iff state == jobDone
-	errMsg string         // set for jobFailed/jobCancelled
+	res    result // set iff state == jobDone
+	errMsg string // set for jobFailed/jobCancelled
 
 	done   chan struct{}
 	cancel context.CancelFunc // non-nil while running
@@ -71,6 +75,89 @@ type job struct {
 
 func (j *job) terminal() bool {
 	return j.state == jobDone || j.state == jobFailed || j.state == jobCancelled
+}
+
+// result is a completed job's dump in the one form the server keeps:
+// the compact JSON that json.Marshal writes for the sim.StatsDump,
+// encoded or validated once, plus the scalars the server reads without
+// decoding it. The job LRU and the disk store hold these bytes, and
+// responses splice them in (see writeStatus).
+type result struct {
+	dump []byte
+	summary
+}
+
+// summary is the part of a dump the server itself reads: sweep events
+// carry IPC and cycles, and the simulated-work counters add cycles and
+// instructions.
+type summary struct {
+	Cycles       int64   `json:"cycles"`
+	Instructions uint64  `json:"instructions"`
+	IPC          float64 `json:"ipc"`
+}
+
+// encodeResult encodes a dump this process computed.
+func encodeResult(d *sim.StatsDump) (result, error) {
+	b, err := d.AppendJSON(nil)
+	if err != nil {
+		return result{}, fmt.Errorf("encoding result: %w", err)
+	}
+	return result{b, summary{d.Cycles, d.Instructions, d.IPC}}, nil
+}
+
+// decodeResult validates dump bytes that enter from outside the
+// process — a v1 store file, a peer's reply — by decoding them as a
+// sim.StatsDump, and returns them compacted. This is the only place a
+// dump is decoded.
+func decodeResult(b []byte) (result, error) {
+	b = bytes.TrimSpace(b)
+	if len(b) == 0 || b[0] != '{' {
+		return result{}, errors.New("result is not a JSON object")
+	}
+	var d sim.StatsDump
+	if err := json.Unmarshal(b, &d); err != nil {
+		return result{}, err
+	}
+	var buf bytes.Buffer
+	json.Compact(&buf, b) // cannot fail: Unmarshal has just parsed b
+	return result{buf.Bytes(), summary{d.Cycles, d.Instructions, d.IPC}}, nil
+}
+
+// readSummary reads the scalars of a dump the store holds. The bytes
+// were encoded or validated when they entered the process, and the
+// scalars lead every encoded dump, so this stops after a few tokens
+// instead of decoding the counters. Any syntax error on the way is
+// returned; keys it never reaches are not checked.
+func readSummary(b []byte) (summary, error) {
+	var s summary
+	dec := json.NewDecoder(bytes.NewReader(b))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return s, errors.New("result is not a JSON object")
+	}
+	for found := 0; found < 3 && dec.More(); {
+		key, err := dec.Token()
+		if err != nil {
+			return s, err
+		}
+		dst, want := any(new(json.RawMessage)), true
+		switch key {
+		case "cycles":
+			dst = &s.Cycles
+		case "instructions":
+			dst = &s.Instructions
+		case "ipc":
+			dst = &s.IPC
+		default:
+			want = false
+		}
+		if err := dec.Decode(dst); err != nil {
+			return s, err
+		}
+		if want {
+			found++
+		}
+	}
+	return s, nil
 }
 
 // benchSpec resolves a request's benchmark with its scale and warp

@@ -120,6 +120,34 @@ func TestForwardFailoverRunsLocally(t *testing.T) {
 	}
 }
 
+// TestForwardRejectsMalformedPeerResult: a peer's reply is validated
+// where it enters the process. A "done" reply whose result is not a
+// dump is a failed forward, and the job fails over to local execution.
+func TestForwardRejectsMalformedPeerResult(t *testing.T) {
+	peer := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte(`{"id":"x","state":"done","result":{"cycles":"many"}}`))
+	})
+	var localRan atomic.Uint64
+	coord := newTestServer(t, Config{Workers: 1, Self: "http://node-a.test", Peers: []string{"http://node-b.test"}})
+	coord.runFn = stubRun(&localRan)
+	coord.httpc = &http.Client{Transport: handlerTransport{"node-b.test": peer}}
+	for _, r := range fabricReqs(12) {
+		if coord.ring.local(r.normalize().Key()) {
+			continue
+		}
+		rec, st := postJSON(t, coord.Handler(), "/v1/simulations?wait=true", r)
+		if rec.Code != http.StatusOK || st.Result == nil || st.Result.Cycles != int64(r.Warps) {
+			t.Fatalf("warps=%d: %d %s", r.Warps, rec.Code, rec.Body.String())
+		}
+		if localRan.Load() != 1 || counter(t, coord, "server.forward_failovers_total") != 1 ||
+			counter(t, coord, "server.forwarded_jobs_total") != 0 {
+			t.Fatalf("a malformed peer result was accepted: local runs %d", localRan.Load())
+		}
+		return
+	}
+	t.Fatal("the ring places none of the requests on the peer")
+}
+
 func TestForwardedMarkerPinsExecutionLocally(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL

@@ -26,8 +26,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-
-	"sttllc/internal/sim"
 )
 
 // ringPoints is the number of virtual nodes per member. 128 keeps the
@@ -106,9 +104,10 @@ const forwardAttempts = 2
 // errors are retried once; any remaining error — peer down, peer
 // overloaded (429/503), peer-side failure — is returned for the caller
 // to fail over to local execution. A successful forward returns the
-// peer's dump, which the local store then persists too: results
-// replicate onto the nodes that actually serve their traffic.
-func (s *Server) forward(ctx context.Context, peer string, req SimulationRequest) (*sim.StatsDump, error) {
+// peer's dump, validated and kept as the peer encoded it, which the
+// local store then persists too: results replicate onto the nodes that
+// actually serve their traffic.
+func (s *Server) forward(ctx context.Context, peer string, req SimulationRequest) (result, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		panic(fmt.Sprintf("server: canonicalizing forward body: %v", err))
@@ -117,11 +116,11 @@ func (s *Server) forward(ctx context.Context, peer string, req SimulationRequest
 	var lastErr error
 	for attempt := 0; attempt < forwardAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return result{}, err
 		}
 		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(string(body)))
 		if err != nil {
-			return nil, err
+			return result{}, err
 		}
 		hreq.Header.Set("Content-Type", "application/json")
 		hreq.Header.Set(forwardedHeader, "1")
@@ -130,35 +129,45 @@ func (s *Server) forward(ctx context.Context, peer string, req SimulationRequest
 			lastErr = err
 			continue
 		}
-		st, err := decodeForwardResponse(resp)
+		res, err := decodeForwardResponse(resp)
 		if err != nil {
 			lastErr = fmt.Errorf("peer %s: %w", peer, err)
 			continue
 		}
 		s.forwarded.Add(1)
-		return st.Result, nil
+		return res, nil
 	}
-	return nil, lastErr
+	return result{}, lastErr
 }
 
-// decodeForwardResponse turns a peer's reply into a completed dump or
-// an error. Anything but a 200 "done" with a result is an error: the
+// decodeForwardResponse turns a peer's reply into a completed result or
+// an error. Anything but a 200 "done" with a valid dump is an error: the
 // peer may be draining, overloaded, or have genuinely failed the job —
 // in every case the local node decides what to do next.
-func decodeForwardResponse(resp *http.Response) (JobStatus, error) {
+func decodeForwardResponse(resp *http.Response) (result, error) {
 	defer func() {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
-		return JobStatus{}, fmt.Errorf("status %d", resp.StatusCode)
+		return result{}, fmt.Errorf("status %d", resp.StatusCode)
 	}
-	var st JobStatus
+	// A JobStatus whose dump stays undecoded until decodeResult
+	// validates it.
+	var st struct {
+		State  string          `json:"state"`
+		Error  string          `json:"error"`
+		Result json.RawMessage `json:"result"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return JobStatus{}, fmt.Errorf("decoding reply: %v", err)
+		return result{}, fmt.Errorf("decoding reply: %v", err)
 	}
 	if st.State != "done" || st.Result == nil {
-		return JobStatus{}, fmt.Errorf("job %s on peer: %s", st.State, st.Error)
+		return result{}, fmt.Errorf("job %s on peer: %s", st.State, st.Error)
 	}
-	return st, nil
+	res, err := decodeResult(st.Result)
+	if err != nil {
+		return result{}, fmt.Errorf("peer result: %v", err)
+	}
+	return res, nil
 }

@@ -20,6 +20,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -103,6 +104,9 @@ type Server struct {
 
 	// runFn executes one job; tests substitute controllable stand-ins.
 	runFn func(ctx context.Context, req SimulationRequest) (*sim.StatsDump, error)
+	// now stamps job lifecycle times (time.Now; tests pin it so the
+	// queue_ms and run_ms of a response are reproducible).
+	now func() time.Time
 
 	// recordings shares reference-stream recordings across replay jobs:
 	// K jobs sweeping K configurations over one workload cost one
@@ -176,6 +180,7 @@ func New(cfg Config) *Server {
 		watch:      make(map[string]map[*sweep]bool),
 		traces:     make(map[string]*traceEntry),
 		httpc:      &http.Client{},
+		now:        time.Now,
 	}
 	if cfg.StoreDir != "" {
 		st, err := openStore(cfg.StoreDir, cfg.StoreBudget)
@@ -359,8 +364,15 @@ type JobStatus struct {
 	Result  *sim.StatsDump `json:"result,omitempty"`
 }
 
+// status is one job's response: the JobStatus fields, with the result
+// kept as the job's encoded dump until writeStatus splices it in.
+type status struct {
+	JobStatus
+	dump []byte
+}
+
 // statusLocked snapshots j; the caller holds s.mu.
-func statusLocked(j *job, cached bool) JobStatus {
+func statusLocked(j *job, cached bool) status {
 	st := JobStatus{ID: j.id, State: j.state.String(), Cached: cached, Error: j.errMsg}
 	if !j.started.IsZero() {
 		st.QueueMS = j.started.Sub(j.submitted).Milliseconds()
@@ -369,9 +381,37 @@ func statusLocked(j *job, cached bool) JobStatus {
 		st.RunMS = j.finished.Sub(j.started).Milliseconds()
 	}
 	if j.state == jobDone {
-		st.Result = j.dump
+		return status{st, j.res.dump}
 	}
-	return st
+	return status{JobStatus: st}
+}
+
+// bufPool recycles response buffers; a job response is ~12 KB.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeStatus writes st exactly as writeJSON would write the JobStatus
+// with its Result set, without decoding the dump: the other fields go
+// through encoding/json, and the encoded dump is spliced in as the last
+// field by one json.Indent pass.
+func writeStatus(w http.ResponseWriter, code int, st status) {
+	if st.dump == nil {
+		writeJSON(w, code, st.JobStatus)
+		return
+	}
+	head, _ := json.MarshalIndent(st.JobStatus, "", "  ") // Result is nil: strings and integers always marshal
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer bufPool.Put(buf)
+	buf.Reset()
+	buf.Write(head[:len(head)-len("\n}")]) // reopen the object
+	buf.WriteString(",\n  \"result\": ")
+	if err := json.Indent(buf, st.dump, "  ", "  "); err != nil {
+		writeError(w, http.StatusInternalServerError, "job %s: stored result: %v", st.ID, err)
+		return
+	}
+	buf.WriteString("\n}\n")
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(buf.Bytes())
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -434,13 +474,13 @@ func (s *Server) admitLocked(req SimulationRequest, id string, hold bool) (*job,
 		s.cacheHits.Add(1)
 		return j, admitCachedMem
 	}
-	if dump := s.store.get(id); dump != nil {
+	if res := s.store.get(id); res != nil {
 		// Disk-store hit: a completed dump from before the last restart
 		// (or evicted from the LRU since). Synthesize a terminal job so
 		// the LRU re-adopts it and pollers can fetch it by ID.
-		now := time.Now()
+		now := s.now()
 		j := &job{
-			id: id, req: req, state: jobDone, dump: dump,
+			id: id, req: req, state: jobDone, res: *res,
 			done: make(chan struct{}), submitted: now, started: now, finished: now,
 		}
 		close(j.done)
@@ -456,7 +496,7 @@ func (s *Server) admitLocked(req SimulationRequest, id string, hold bool) (*job,
 		state:     jobQueued,
 		done:      make(chan struct{}),
 		asyncHold: hold,
-		submitted: time.Now(),
+		submitted: s.now(),
 	}
 	select {
 	case s.queue <- j:
@@ -521,13 +561,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case admitCachedMem, admitCachedDisk:
 		st := statusLocked(j, true)
 		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, st)
+		writeStatus(w, http.StatusOK, st)
 		return
 	case admitJoined:
 		if !wait {
 			st := statusLocked(j, false)
 			s.mu.Unlock()
-			writeJSON(w, http.StatusOK, st)
+			writeStatus(w, http.StatusOK, st)
 			return
 		}
 		s.waitLocked(w, r, j)
@@ -537,7 +577,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !wait {
 		st := statusLocked(j, false)
 		s.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, st)
+		writeStatus(w, http.StatusAccepted, st)
 		return
 	}
 	s.waitLocked(w, r, j)
@@ -562,7 +602,7 @@ func (s *Server) waitLocked(w http.ResponseWriter, r *http.Request, j *job) {
 		if j.state != jobDone {
 			code = statusForTerminal(j.state)
 		}
-		writeJSON(w, code, st)
+		writeStatus(w, code, st)
 	case <-r.Context().Done():
 		s.mu.Lock()
 		j.waiters--
@@ -606,7 +646,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	st := statusLocked(j, false)
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	writeStatus(w, http.StatusOK, st)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -622,21 +662,18 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	st := statusLocked(j, false)
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	writeStatus(w, http.StatusOK, st)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	out := make([]JobStatus, 0, len(s.inflight)+s.finished.len())
+	// Index view: states only, no results.
 	for _, j := range s.inflight {
-		st := statusLocked(j, false)
-		st.Result = nil // index view: states only
-		out = append(out, st)
+		out = append(out, statusLocked(j, false).JobStatus)
 	}
 	for _, el := range s.finished.entries {
-		st := statusLocked(el.Value.(*job), false)
-		st.Result = nil
-		out = append(out, st)
+		out = append(out, statusLocked(el.Value.(*job), false).JobStatus)
 	}
 	s.mu.Unlock()
 	// Deterministic order for clients and tests.
@@ -664,7 +701,7 @@ func (s *Server) cancelJob(id string) {
 	case jobQueued:
 		j.state = jobCancelled
 		j.errMsg = "cancelled before start"
-		j.finished = time.Now()
+		j.finished = s.now()
 		delete(s.inflight, id)
 		s.finished.put(j)
 		s.cancelledN.Add(1)
@@ -708,7 +745,7 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	j.state = jobRunning
-	j.started = time.Now()
+	j.started = s.now()
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if to := s.effectiveTimeout(j.req); to > 0 {
@@ -721,45 +758,45 @@ func (s *Server) runJob(j *job) {
 	s.mu.Unlock()
 
 	s.running.Add(1)
-	var dump *sim.StatsDump
+	var res result
 	var err error
 	if s.ring != nil && !j.req.noForward && !s.ring.local(j.id) {
 		// The ring placed this job on a peer: its cache and store are
 		// the authority for this arc of the ID space. A dead or draining
 		// owner is not a failure — the job runs here instead.
-		dump, err = s.forward(ctx, s.ring.owner(j.id), j.req)
+		res, err = s.forward(ctx, s.ring.owner(j.id), j.req)
 		if err != nil {
 			if ctx.Err() != nil {
 				err = ctx.Err()
 			} else {
 				s.forwardFailover.Add(1)
-				dump, err = s.runGuarded(ctx, j.req)
+				res, err = s.runGuarded(ctx, j.req)
 			}
 		}
 	} else {
-		dump, err = s.runGuarded(ctx, j.req)
+		res, err = s.runGuarded(ctx, j.req)
 	}
 	s.running.Add(-1)
 	cancel()
 	if err == nil {
 		// Persist before publishing: a crash after this point loses no
 		// completed work. Store IO happens outside s.mu.
-		s.store.put(j.id, dump)
+		s.store.put(j.id, res.dump)
 	}
 
 	s.mu.Lock()
 	delete(s.inflight, j.id)
 	j.cancel = nil
-	j.finished = time.Now()
+	j.finished = s.now()
 	switch {
 	case err == nil:
 		j.state = jobDone
-		j.dump = dump
+		j.res = res
 		s.completed.Add(1)
-		if dump.Cycles > 0 {
-			s.simCycles.Add(uint64(dump.Cycles))
+		if res.Cycles > 0 {
+			s.simCycles.Add(uint64(res.Cycles))
 		}
-		s.simInstr.Add(dump.Instructions)
+		s.simInstr.Add(res.Instructions)
 	case errors.Is(err, context.Canceled):
 		// Partial results never enter the cache; the job record does,
 		// so pollers learn its fate.
@@ -781,16 +818,20 @@ func (s *Server) runJob(j *job) {
 	s.mu.Unlock()
 }
 
-// runGuarded shields the worker pool from a panicking simulation (a
-// violated invariant panics by design): the job fails, the worker and
-// the daemon live on.
-func (s *Server) runGuarded(ctx context.Context, req SimulationRequest) (dump *sim.StatsDump, err error) {
+// runGuarded runs a job here and encodes its dump, shielding the worker
+// pool from a panicking simulation (a violated invariant panics by
+// design): the job fails, the worker and the daemon live on.
+func (s *Server) runGuarded(ctx context.Context, req SimulationRequest) (res result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			dump, err = nil, fmt.Errorf("simulation panicked: %v", v)
+			res, err = result{}, fmt.Errorf("simulation panicked: %v", v)
 		}
 	}()
-	return s.runFn(ctx, req)
+	dump, err := s.runFn(ctx, req)
+	if err != nil {
+		return result{}, err
+	}
+	return encodeResult(dump)
 }
 
 // Draining reports whether Shutdown has begun.

@@ -550,3 +550,52 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Errorf("len = %d, want 2", c.len())
 	}
 }
+
+// BenchmarkStatusResponse measures the server's own work per job
+// response around a real, metrics-carrying dump. "fresh" submits a new
+// request whose run returns the dump at once, so each iteration encodes
+// the result, stores it and writes the response; "cached" repeats one
+// request, answered from the job LRU.
+func BenchmarkStatusResponse(b *testing.B) {
+	probe := New(Config{Workers: 1})
+	dump, err := probe.runSimulation(context.Background(), tinyReq("bfs"))
+	probe.Shutdown(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	submit := func(b *testing.B, h http.Handler, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/simulations?wait=true", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("submit = %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	b.Run("fresh", func(b *testing.B) {
+		s := New(Config{Workers: 1, StoreDir: b.TempDir(), StoreBudget: 16 << 20})
+		defer s.Shutdown(context.Background())
+		s.runFn = func(context.Context, SimulationRequest) (*sim.StatsDump, error) { return dump, nil }
+		bodies := make([][]byte, b.N)
+		for i := range bodies {
+			req := tinyReq("bfs")
+			req.MaxCycles = int64(i + 1)
+			bodies[i], _ = json.Marshal(req)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			submit(b, s.Handler(), bodies[i])
+		}
+	})
+	b.Run("cached", func(b *testing.B) {
+		s := New(Config{Workers: 1})
+		defer s.Shutdown(context.Background())
+		s.runFn = func(context.Context, SimulationRequest) (*sim.StatsDump, error) { return dump, nil }
+		body, _ := json.Marshal(tinyReq("bfs"))
+		submit(b, s.Handler(), body)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			submit(b, s.Handler(), body)
+		}
+	})
+}

@@ -11,10 +11,13 @@
 //
 // followed by the compact-JSON StatsDump payload and a newline, written
 // with a single write to the active segment, which is opened O_APPEND
-// once. An in-memory index maps each ID to its record (segment, offset,
-// length); a read is one pread on the open segment plus the checksum
-// check. A second put of an indexed ID writes nothing: IDs are content
-// addresses, so the record already holds the same bytes.
+// once. The payload is the job's encoded result as it stands: put
+// encodes nothing and get decodes nothing, beyond reading the few
+// leading scalars the server keeps beside the bytes. An in-memory index
+// maps each ID to its record (segment, offset, length); a read is one
+// pread on the open segment plus the checksum check. A second put of an
+// indexed ID writes nothing: IDs are content addresses, so the record
+// already holds the same bytes.
 //
 // Recovery: opening the store replays every segment in append order.
 // A record that fails its checksum or doesn't parse — truncation, bit
@@ -35,7 +38,9 @@
 //
 // One process owns a directory: openStore takes an exclusive lock on
 // <dir>/LOCK and a second opener fails. A v1 directory (one file per
-// result, <dir>/<id[:2]>/<id>.json) is imported into the log on open.
+// result, <dir>/<id[:2]>/<id>.json) is imported into the log on open;
+// each v1 payload is decoded once there, and one that passes its
+// checksum but is not a dump is quarantined.
 // The store has its own mutex — it never takes the Server's — and does
 // its appends and compactions under it, so store IO never blocks the
 // scheduler.
@@ -46,7 +51,6 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -58,8 +62,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"sttllc/internal/sim"
 )
 
 const (
@@ -343,13 +345,13 @@ func (s *diskStore) importV1Locked(dirs []os.DirEntry) error {
 	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
 	var imported []string
 	for _, v := range files {
-		payload, err := readV1(v.path)
+		res, err := readV1(v.path)
 		if err != nil {
 			s.quarantineFile(v.path)
 			continue
 		}
 		if _, ok := s.entries[v.id]; !ok {
-			rec := encodeRecord(v.id, payload)
+			rec := encodeRecord(v.id, res.dump)
 			seg, off, err := s.appendLocked(rec)
 			if err != nil {
 				return fmt.Errorf("importing v1 result store: %w", err)
@@ -370,20 +372,24 @@ func (s *diskStore) importV1Locked(dirs []os.DirEntry) error {
 	return nil
 }
 
-// readV1 returns a v1 result file's payload after checking its header
-// checksum.
-func readV1(path string) ([]byte, error) {
+// readV1 returns a v1 result file's payload, validated, after checking
+// its header checksum.
+func readV1(path string) (result, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return result{}, err
 	}
 	header, payload, ok := bytes.Cut(b, []byte{'\n'})
 	magic, sum, _ := strings.Cut(string(header), " ")
 	got := sha256.Sum256(payload)
 	if !ok || magic != storeMagicV1 || hex.EncodeToString(got[:]) != sum {
-		return nil, fmt.Errorf("store file %s: bad header or checksum", path)
+		return result{}, fmt.Errorf("store file %s: bad header or checksum", path)
 	}
-	return payload, nil
+	res, err := decodeResult(payload)
+	if err != nil {
+		return result{}, fmt.Errorf("store file %s: %v", path, err)
+	}
+	return res, nil
 }
 
 // quarantineFile moves a damaged v1 file aside and counts it.
@@ -409,10 +415,10 @@ func (s *diskStore) has(id string) bool {
 	return ok && !s.closed
 }
 
-// get returns the stored dump for id, or nil on any kind of miss
+// get returns the stored result for id, or nil on any kind of miss
 // (absent, evicted, corrupt — corrupt records are quarantined on the
 // way). A hit refreshes recency in memory.
-func (s *diskStore) get(id string) *sim.StatsDump {
+func (s *diskStore) get(id string) *result {
 	if s == nil {
 		return nil
 	}
@@ -429,21 +435,20 @@ func (s *diskStore) get(id string) *sim.StatsDump {
 	s.mu.Unlock()
 
 	buf := make([]byte, n)
-	var dump sim.StatsDump
+	var res result
 	got, err := seg.f.ReadAt(buf, off)
 	if err == nil {
 		var rid string
-		var payload []byte
-		if rid, payload, _, err = parseRecord(buf); err == nil && rid != id {
+		if rid, res.dump, _, err = parseRecord(buf); err == nil && rid != id {
 			err = fmt.Errorf("record %s indexed as %s", rid, id)
 		}
 		if err == nil {
-			err = json.Unmarshal(payload, &dump)
+			res.summary, err = readSummary(res.dump)
 		}
 	}
 	if err == nil {
 		s.hits.Add(1)
-		return &dump
+		return &res
 	}
 	s.misses.Add(1)
 
@@ -462,18 +467,14 @@ func (s *diskStore) get(id string) *sim.StatsDump {
 	return nil
 }
 
-// put persists a completed dump under id. Errors are swallowed —
-// persistence is an optimization; a full or read-only disk must not
-// fail the job that just completed.
-func (s *diskStore) put(id string, dump *sim.StatsDump) {
+// put persists a completed job's encoded dump under id. Errors are
+// swallowed — persistence is an optimization; a full or read-only disk
+// must not fail the job that just completed.
+func (s *diskStore) put(id string, dump []byte) {
 	if s == nil {
 		return
 	}
-	payload, err := json.Marshal(dump)
-	if err != nil {
-		return // a dump of scalars cannot fail to marshal
-	}
-	rec := encodeRecord(id, payload)
+	rec := encodeRecord(id, dump)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -5,13 +5,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -23,8 +21,14 @@ import (
 // storeID fabricates a syntactically valid job ID (32 hex chars).
 func storeID(n int) string { return fmt.Sprintf("%032x", n) }
 
-func storeDump(n int) *sim.StatsDump {
-	return &sim.StatsDump{Schema: sim.StatsSchema, Config: fmt.Sprintf("C%d", n), Benchmark: "bfs", Cycles: int64(n)}
+// storeDump is a small dump, encoded the way the server stores results.
+func storeDump(n int) []byte {
+	d := sim.StatsDump{Schema: sim.StatsSchema, Config: fmt.Sprintf("C%d", n), Benchmark: "bfs", Cycles: int64(n)}
+	b, err := d.AppendJSON(nil)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 func mustOpenStore(t testing.TB, dir string, budget int64) *diskStore {
@@ -157,7 +161,7 @@ func TestStoreRoundTripAndReopen(t *testing.T) {
 		t.Fatalf("oldest entry after reopen = %s, want %s (append order)", oldest, storeID(1))
 	}
 	got = st2.get(storeID(1))
-	if got == nil || got.Cycles != 1 || got.Config != "C1" {
+	if got == nil || got.Cycles != 1 || !bytes.Equal(got.dump, storeDump(1)) {
 		t.Fatalf("reopened get = %+v", got)
 	}
 }
@@ -267,7 +271,7 @@ func TestStoreTornFinalRecordCutBack(t *testing.T) {
 	mustClose(t, st)
 
 	// A crash mid-append leaves the front half of a record at the tail.
-	payload, _ := json.Marshal(storeDump(3))
+	payload := storeDump(3)
 	rec := encodeRecord(storeID(3), payload)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
@@ -389,7 +393,7 @@ func TestStoreEvictReadRaceNotCorruption(t *testing.T) {
 				k := (g*7 + i) % 6
 				st.put(storeID(k), storeDump(k))
 				want := (k + 1) % 6
-				if got := st.get(storeID(want)); got != nil && (got.Cycles != int64(want) || got.Config != fmt.Sprintf("C%d", want)) {
+				if got := st.get(storeID(want)); got != nil && (got.Cycles != int64(want) || !bytes.Equal(got.dump, storeDump(want))) {
 					t.Errorf("get(%d) = %+v", want, got)
 				}
 			}
@@ -497,11 +501,11 @@ func TestStoreImportsV1Directory(t *testing.T) {
 	var v1 []string
 	// Written newest first: the import must follow mtimes, not names.
 	for i := 3; i >= 1; i-- {
-		payload, _ := json.Marshal(storeDump(i))
+		payload := storeDump(i)
 		sum := sha256.Sum256(payload)
 		v1 = append(v1, writeV1(t, dir, storeID(i), payload, hex.EncodeToString(sum[:]), base.Add(time.Duration(i)*time.Minute)))
 	}
-	payload, _ := json.Marshal(storeDump(4))
+	payload := storeDump(4)
 	writeV1(t, dir, storeID(4), payload, strings.Repeat("0", 64), base) // checksum mismatch
 	trace := filepath.Join(dir, "traces", "abc.rec")
 	if err := os.MkdirAll(filepath.Dir(trace), 0o755); err != nil {
@@ -546,6 +550,33 @@ func TestStoreImportsV1Directory(t *testing.T) {
 	}
 }
 
+// TestStoreChecksummedMalformedPayloads: a payload whose checksum holds
+// but which is not a dump never reaches a client. A v1 file is
+// quarantined at import, where its payload is decoded; a v2 record is
+// quarantined when get cannot read its summary.
+func TestStoreChecksummedMalformedPayloads(t *testing.T) {
+	dir := t.TempDir()
+	for i, payload := range []string{`{"cycles":`, `null`, `{"cycles":"three"}`} {
+		sum := sha256.Sum256([]byte(payload))
+		writeV1(t, dir, storeID(i+1), []byte(payload), hex.EncodeToString(sum[:]), time.Now())
+	}
+	bad := encodeRecord(storeID(9), []byte("not json"))
+	if err := os.WriteFile(filepath.Join(dir, "seg-1.log"), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := mustOpenStore(t, dir, 0)
+	if st.quarantined.Load() != 3 || st.len() != 1 {
+		t.Fatalf("open: quarantined %d, indexed %d; want the 3 v1 files quarantined and the v2 record indexed",
+			st.quarantined.Load(), st.len())
+	}
+	if got := st.get(storeID(9)); got != nil {
+		t.Fatalf("get served a malformed payload: %q", got.dump)
+	}
+	if st.quarantined.Load() != 4 || st.len() != 0 {
+		t.Fatalf("after get: quarantined %d, indexed %d; want 4 and 0", st.quarantined.Load(), st.len())
+	}
+}
+
 // TestStoreReopenAfterShutdown: Shutdown releases the store directory,
 // and the next daemon over it serves what the last one stored.
 func TestStoreReopenAfterShutdown(t *testing.T) {
@@ -567,7 +598,7 @@ func TestStoreReopenAfterShutdown(t *testing.T) {
 	s1.store.put(storeID(9), storeDump(9)) // dropped, not a panic
 
 	s2 := newTestServer(t, Config{Workers: 1, StoreDir: dir})
-	if got := s2.store.get(id); got == nil || got.Benchmark != "bfs" {
+	if got := s2.store.get(id); got == nil || !bytes.Contains(got.dump, []byte(`"benchmark":"bfs"`)) {
 		t.Fatalf("store after restart = %+v", got)
 	}
 }
@@ -598,9 +629,9 @@ func BenchmarkStoreGet(b *testing.B) {
 	}
 }
 
-// benchStoreDump is a real, metrics-carrying dump, so records have the
-// size the service stores.
-func benchStoreDump(b *testing.B) *sim.StatsDump {
+// benchStoreDump is a real, metrics-carrying dump, encoded, so records
+// have the size the service stores.
+func benchStoreDump(b *testing.B) []byte {
 	b.Helper()
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
@@ -608,7 +639,11 @@ func benchStoreDump(b *testing.B) *sim.StatsDump {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return dump
+	res, err := encodeResult(dump)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.dump
 }
 
 // FuzzStoreRecovery appends arbitrary bytes to, splices them into, or
@@ -618,10 +653,10 @@ func benchStoreDump(b *testing.B) *sim.StatsDump {
 func FuzzStoreRecovery(f *testing.F) {
 	var log []byte
 	for i := 1; i <= 3; i++ {
-		payload, _ := json.Marshal(storeDump(i))
+		payload := storeDump(i)
 		log = append(log, encodeRecord(storeID(i), payload)...)
 	}
-	payload, _ := json.Marshal(storeDump(9))
+	payload := storeDump(9)
 	rec := encodeRecord(storeID(9), payload)
 	f.Add(uint8(0), uint16(0), []byte("garbage"))
 	f.Add(uint8(0), uint16(0), rec)
@@ -671,8 +706,7 @@ func FuzzStoreRecovery(f *testing.F) {
 			if fields[1] != id || fields[3] != hex.EncodeToString(sum[:]) {
 				t.Fatalf("served %s from a record whose checksum does not cover it: %q", id, header)
 			}
-			var want sim.StatsDump
-			if err := json.Unmarshal(body, &want); err != nil || !reflect.DeepEqual(*dump, want) {
+			if !bytes.Equal(dump.dump, body) {
 				t.Fatalf("served dump for %s differs from its record's payload", id)
 			}
 		}

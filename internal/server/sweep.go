@@ -29,7 +29,6 @@ import (
 	"sort"
 	"time"
 
-	"sttllc/internal/sim"
 	"sttllc/internal/workloads/gen"
 )
 
@@ -393,8 +392,8 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 			resolved[i].job = j
 			continue
 		}
-		if dump := s.store.get(k); dump != nil {
-			resolved[i].dump = dump
+		if res := s.store.get(k); res != nil {
+			resolved[i].res = res
 			continue
 		}
 		needed++
@@ -465,6 +464,10 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 			State: child.state.String(), Cached: child.cached,
 			Error: child.errMsg,
 		}
+		if child.state == jobDone {
+			// Answered from a cache, or joined a job already done.
+			ev.IPC, ev.Cycles = j.res.IPC, j.res.Cycles
+		}
 		s.appendSweepEventLocked(sw, ev)
 	}
 	s.maybeFinishSweepLocked(sw)
@@ -484,8 +487,8 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 // arithmetic. At most one field is set; both nil means the cell needs
 // a queue slot.
 type resolvedChild struct {
-	job  *job           // in-flight job to join, or done job from the memory LRU
-	dump *sim.StatsDump // dump read and verified from the disk store
+	job *job    // in-flight job to join, or done job from the memory LRU
+	res *result // result read and verified from the disk store
 }
 
 // admitResolvedLocked turns a pinned resolution into the verdicts
@@ -508,12 +511,12 @@ func (s *Server) admitResolvedLocked(req SimulationRequest, id string, rc resolv
 		s.cacheHits.Add(1)
 		s.finished.put(rc.job)
 		return rc.job, admitCachedMem
-	case rc.dump != nil:
+	case rc.res != nil:
 		// Disk-store hit, read and verified at resolution time; the LRU
 		// re-adopts it exactly as admitLocked's disk path would.
-		now := time.Now()
+		now := s.now()
 		j := &job{
-			id: id, req: req, state: jobDone, dump: rc.dump,
+			id: id, req: req, state: jobDone, res: *rc.res,
 			done: make(chan struct{}), submitted: now, started: now, finished: now,
 		}
 		close(j.done)
@@ -558,9 +561,8 @@ func (s *Server) sweepJobChangedLocked(j *job) {
 			Trace: child.trace, Gen: child.gen,
 			State: child.state.String(), Error: child.errMsg,
 		}
-		if j.state == jobDone && j.dump != nil {
-			ev.IPC = j.dump.IPC
-			ev.Cycles = j.dump.Cycles
+		if j.state == jobDone {
+			ev.IPC, ev.Cycles = j.res.IPC, j.res.Cycles
 		}
 		s.appendSweepEventLocked(sw, ev)
 		s.maybeFinishSweepLocked(sw)

@@ -190,6 +190,76 @@ func TestSweepServedFromDiskAfterRestart(t *testing.T) {
 	}
 }
 
+// doneEvents returns the done job_update events of a terminal sweep's
+// stream, by job ID.
+func doneEvents(t *testing.T, h http.Handler, id string) map[string]SweepEvent {
+	t.Helper()
+	rec := doJSON(t, h, "GET", "/v1/sweeps/"+id+"/events", nil)
+	out := map[string]SweepEvent{}
+	sc := bufio.NewScanner(rec.Body)
+	for sc.Scan() {
+		var ev SweepEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		if ev.Type == evJobUpdate && ev.State == "done" {
+			out[ev.JobID] = ev
+		}
+	}
+	return out
+}
+
+// TestSweepCachedEventsCarryStats: a done job_update carries the cell's
+// ipc and cycles whether the cell ran, came from the memory LRU, or came
+// from the disk store after a restart.
+func TestSweepCachedEventsCarryStats(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 2, QueueDepth: 32, StoreDir: dir}
+	req := SweepRequest{
+		Configs: []SweepConfig{{Config: "C1"}, {Config: "C2"}},
+		Benches: []string{"bfs", "nw"},
+		Warps:   3,
+	}
+	s1 := New(cfg)
+	s1.runFn = stubRun(nil)
+	rec := doJSON(t, s1.Handler(), "POST", "/v1/sweeps", req)
+	id := decodeSweep(t, rec).ID
+	waitSweep(t, s1.Handler(), id)
+	first := doneEvents(t, s1.Handler(), id)
+	if len(first) != 4 {
+		t.Fatalf("first run: %d done events, want 4", len(first))
+	}
+	for jid, ev := range first {
+		if ev.Cached || ev.IPC != 0.5 || ev.Cycles != 3 {
+			t.Fatalf("first run, job %s: %+v, want a fresh run with ipc 0.5 and 3 cycles", jid, ev)
+		}
+	}
+	check := func(name string, s *Server) {
+		t.Helper()
+		rec := doJSON(t, s.Handler(), "POST", "/v1/sweeps", req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: repeat sweep = %d, want 200 (fully cached)", name, rec.Code)
+		}
+		again := doneEvents(t, s.Handler(), id)
+		if len(again) != len(first) {
+			t.Fatalf("%s: %d done events, want %d", name, len(again), len(first))
+		}
+		for jid, ev := range again {
+			if !ev.Cached || ev.IPC != first[jid].IPC || ev.Cycles != first[jid].Cycles {
+				t.Errorf("%s, job %s: cached %v ipc %v cycles %d; first run had ipc %v cycles %d",
+					name, jid, ev.Cached, ev.IPC, ev.Cycles, first[jid].IPC, first[jid].Cycles)
+			}
+		}
+	}
+	check("memory LRU", s1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("disk store", newTestServer(t, cfg))
+}
+
 func TestSweepEventsOrderedAndReplayed(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, QueueDepth: 32})
 	release := make(chan struct{})

@@ -7,8 +7,11 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"slices"
+	"strconv"
 
 	"sttllc/internal/metrics"
 	"sttllc/internal/power"
@@ -40,8 +43,9 @@ type StatsDump struct {
 	Power PowerDump `json:"power"`
 
 	// Counters is the registry's scalar snapshot (empty without an
-	// enabled registry). Go marshals map keys sorted, so the encoding
-	// is deterministic.
+	// enabled registry), encoded with its keys sorted. AppendJSON
+	// writes it from one sorted key slice rather than through
+	// encoding/json's reflective map encoder; the bytes are the same.
 	Counters map[string]uint64 `json:"counters,omitempty"`
 	// Histograms are the registry's bucket snapshots, sorted by name.
 	Histograms []HistogramDump `json:"histograms,omitempty"`
@@ -194,11 +198,77 @@ func DumpStats(r Result, reg *metrics.Registry) StatsDump {
 	return d
 }
 
-// WriteJSON serializes the dump, indented, with a trailing newline.
+// AppendJSON appends d's compact JSON encoding to b: byte for byte what
+// json.Marshal(d) writes. The fields before and after Counters go
+// through encoding/json; Counters, nearly all of a dump's bytes, is
+// written from its keys sorted once, with no reflection per entry.
+func (d *StatsDump) AppendJSON(b []byte) ([]byte, error) {
+	head := *d
+	head.Counters, head.Histograms, head.Tiers = nil, nil, nil
+	hb, err := json.Marshal(&head)
+	if err != nil {
+		return b, err
+	}
+	tail, err := json.Marshal(struct {
+		Histograms []HistogramDump `json:"histograms,omitempty"`
+		Tiers      []TierDump      `json:"tiers,omitempty"`
+	}{d.Histograms, d.Tiers})
+	if err != nil {
+		return b, err
+	}
+	b = append(b, hb[:len(hb)-1]...) // reopen the object
+	if len(d.Counters) > 0 {
+		names := make([]string, 0, len(d.Counters))
+		for name := range d.Counters {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		b = append(b, `,"counters":{`...)
+		for i, name := range names {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(b, name)
+			b = append(b, ':')
+			b = strconv.AppendUint(b, d.Counters[name], 10)
+		}
+		b = append(b, '}')
+	}
+	if len(tail) > len("{}") {
+		b = append(b, ',')
+		return append(b, tail[1:]...), nil
+	}
+	return append(b, '}'), nil
+}
+
+// appendJSONString appends s as encoding/json quotes it. Printable ASCII
+// that needs no escaping — every metric name — is copied as is;
+// anything else takes encoding/json's path, HTML escaping included.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// WriteJSON serializes the dump, indented, with a trailing newline:
+// what a json.Encoder with a two-space indent writes.
 func (d StatsDump) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
+	b, err := d.AppendJSON(nil)
+	if err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	buf.Grow(2 * len(b))
+	json.Indent(&buf, b, "", "  ") // b is valid JSON: Indent cannot fail
+	buf.WriteByte('\n')
+	_, err = w.Write(buf.Bytes())
+	return err
 }
 
 // WriteStatsDumps serializes a list of dumps as one JSON array — the

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -65,6 +67,46 @@ func TestStatsDumpGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("stats dump diverged from %s\n--- got ---\n%s\n--- want ---\n%s",
 			golden, buf.Bytes(), want)
+	}
+}
+
+// AppendJSON must write exactly what encoding/json writes for the same
+// dump: real dumps (two-level, stacked, counter-free replay shape) and
+// hand-built ones whose strings need escaping and whose floats cross
+// encoding/json's exponent thresholds.
+func TestAppendJSONMatchesMarshal(t *testing.T) {
+	reg := metrics.NewRegistry(true)
+	c2 := DumpStats(RunOne(config.C2(), exportSpec(t), Options{Metrics: reg}), reg)
+	reg = metrics.NewRegistry(true)
+	stacked := DumpStats(RunOne(config.C2L3(), exportSpec(t), Options{Metrics: reg}), reg)
+	bare := RunOne(config.C1(), exportSpec(t), Options{}).Dump()
+	odd := StatsDump{
+		Schema: StatsSchema, Config: "C<2>&\"x\"", Benchmark: "bf\u00e9s\u2028\t",
+		IPC: 1e-7, Cycles: -1,
+		Power: PowerDump{TotalW: 1e21, DynamicW: 123456789.125, ComponentsJ: map[string]float64{"b": 0, "a": -2.5e-9}},
+		Counters: map[string]uint64{
+			"plain": 1, "quote\"d": 2, "back\\slash": 3, "<html>&": 4, "ctl\x01": 5,
+			"utf8-\u00fc": 6, "bad-\xff": 7, "": 8, "max": ^uint64(0),
+		},
+		Histograms: []HistogramDump{{Name: "h", Edges: []int64{1, 2}, Counts: []uint64{0, 3}}},
+	}
+	empty := StatsDump{Counters: map[string]uint64{}}
+	for name, d := range map[string]StatsDump{"c2": c2, "stacked": stacked, "bare": bare, "odd": odd, "empty": empty} {
+		want, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.AppendJSON([]byte("prefix"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if string(got) != "prefix"+string(want) {
+			t.Errorf("%s: AppendJSON differs from json.Marshal\n got %s\nwant %s", name, got[len("prefix"):], want)
+		}
+	}
+	nan := StatsDump{IPC: math.NaN()}
+	if _, err := nan.AppendJSON(nil); err == nil {
+		t.Error("AppendJSON encoded a NaN; encoding/json refuses it")
 	}
 }
 
