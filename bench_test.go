@@ -190,7 +190,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ResetTimer()
 	var instrs uint64
 	for i := 0; i < b.N; i++ {
-		r := sim.RunOne(cfg, spec, sim.Options{})
+		r := sim.New(cfg, spec, sim.Options{}).Run()
 		instrs += r.Instructions
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
@@ -210,7 +210,7 @@ func BenchmarkSimulatorThroughputL3(b *testing.B) {
 	b.ResetTimer()
 	var instrs uint64
 	for i := 0; i < b.N; i++ {
-		r := sim.RunOne(cfg, spec, sim.Options{})
+		r := sim.New(cfg, spec, sim.Options{}).Run()
 		instrs += r.Instructions
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
@@ -230,7 +230,7 @@ func BenchmarkSimulatorThroughputAdaptive(b *testing.B) {
 	b.ResetTimer()
 	var instrs uint64
 	for i := 0; i < b.N; i++ {
-		r := sim.RunOne(cfg, spec, sim.Options{})
+		r := sim.New(cfg, spec, sim.Options{}).Run()
 		instrs += r.Instructions
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")

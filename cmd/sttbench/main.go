@@ -71,7 +71,7 @@ func suite() []struct {
 			spec, _ := workloads.ByName("bfs")
 			spec = spec.Scale(0.05)
 			spec.WarpsPerSM = 6
-			sim.RunOne(config.C1(), spec, sim.Options{})
+			sim.New(config.C1(), spec, sim.Options{}).Run()
 		}},
 		// Same run with a live metrics registry: the delta between this
 		// row and SimulatorThroughput is the observability layer's cost,
@@ -81,21 +81,21 @@ func suite() []struct {
 			spec = spec.Scale(0.05)
 			spec.WarpsPerSM = 6
 			cfg := config.C1()
-			sim.RunOne(cfg, spec, sim.Options{Metrics: metrics.NewRegistry(true)})
+			sim.New(cfg, spec, sim.Options{Metrics: metrics.NewRegistry(true)}).Run()
 		}},
 		// The sweep trio: the same eight-configuration bank sweep run
-		// three ways. RunOne is the execution-driven cost every sweep
-		// used to pay. RecordReplay is a cold trace-driven sweep (the
+		// three ways. Run is the execution-driven cost every sweep used
+		// to pay. RecordReplay is a cold trace-driven sweep (the
 		// recording run included). ReplayMany is the steady state the
 		// record-once/replay-many machinery actually operates in — the
 		// recording exists (sttserve's RecordingCache shares it across
 		// jobs; sttexp's Fig. 4/5/6 share it across experiments), so an
-		// 8-config sweep costs K bank replays. The RunOne/ReplayMany
+		// 8-config sweep costs K bank replays. The Run/ReplayMany
 		// ratio is the speedup published in BENCH_replay.json (>= 4x).
-		{"SweepEightConfigsRunOne", func() {
+		{"SweepEightConfigsRun", func() {
 			spec := sweepSpec()
 			for _, cfg := range sweepEight() {
-				sim.RunOne(cfg, spec, sim.Options{})
+				sim.New(cfg, spec, sim.Options{}).Run()
 			}
 		}},
 		{"SweepRecordReplayCold", func() {
@@ -112,7 +112,7 @@ func suite() []struct {
 			spec = spec.Scale(0.05)
 			spec.WarpsPerSM = 6
 			cfg, _ := config.ByName("C2-L3")
-			sim.RunOne(cfg, spec, sim.Options{})
+			sim.New(cfg, spec, sim.Options{}).Run()
 		}},
 		// C4 with the reconfiguration controller live: tracks the epoch
 		// events' cost. Not in committed baselines, so ungated; the gated
@@ -122,7 +122,7 @@ func suite() []struct {
 			spec, _ := workloads.ByName("bfs")
 			spec = spec.Scale(0.05)
 			spec.WarpsPerSM = 6
-			sim.RunOne(config.C4(), spec, sim.Options{})
+			sim.New(config.C4(), spec, sim.Options{}).Run()
 		}},
 		{"WearLeveling", func() { experiments.WearLeveling(benchParams("bfs")) }},
 		// Ingestion rows (BENCH_ingest.json): the per-upload cost of the

@@ -158,7 +158,7 @@ func main() {
 		r, rec, err = sim.RecordContext(ctx, cfg, spec, opts)
 		writeRecording(*recordOut, rec, err)
 	} else {
-		r, err = sim.RunOneContext(ctx, cfg, spec, opts)
+		r, err = sim.New(cfg, spec, opts).RunContext(ctx)
 	}
 	reportPartial(err)
 	writeTrace(*traceOut, opts.Tracer)

@@ -24,7 +24,7 @@ func main() {
 			"config", "IPC", "leak(W)", "dyn(W)", "total(W)", "vs SRAM")
 		var baseTotal float64
 		for _, cfg := range config.All() {
-			r := sim.RunOne(cfg, spec, sim.Options{})
+			r := sim.New(cfg, spec, sim.Options{}).Run()
 			if cfg.Name == "baseline-SRAM" {
 				baseTotal = r.TotalPowerW
 			}

@@ -19,8 +19,8 @@ func main() {
 	spec, _ := workloads.ByName("nw")
 	spec = spec.Scale(0.25)
 
-	base := sim.RunOne(config.BaselineSRAM(), spec, sim.Options{})
-	c1 := sim.RunOne(config.C1(), spec, sim.Options{})
+	base := sim.New(config.BaselineSRAM(), spec, sim.Options{}).Run()
+	c1 := sim.New(config.C1(), spec, sim.Options{}).Run()
 
 	fmt.Printf("benchmark: %s (%s)\n\n", spec.Name, spec.Description)
 	fmt.Printf("%-16s %10s %12s %12s %12s\n", "config", "IPC", "L2 hit", "dyn power", "total power")

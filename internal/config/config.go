@@ -57,9 +57,6 @@ type L2Spec struct {
 	// Replacement selects the victim policy of every L2 array
 	// (default LRU).
 	Replacement cache.Policy
-	// AdaptiveThreshold enables runtime tuning of the WWS monitor's
-	// write threshold (extension; the paper uses a static 1).
-	AdaptiveThreshold bool
 	// SRAMLR builds the LR part out of SRAM instead of low-retention
 	// STT-RAM — the hybrid design of the related work (Goswami et al.,
 	// HPCA'13). Note this breaks the iso-area premise: SRAM bits cost
@@ -85,11 +82,11 @@ type GPUConfig struct {
 	LineBytes   int // L2 line size (256B)
 	SM          gpu.SMConfig
 	L2          L2Spec
-	// NoCStageCycles is the butterfly per-stage latency.
+	// NoCStageCycles is the router latency of one stage of the SM–bank
+	// butterfly (Table 2). The port-level NoC charges it once per stage
+	// and serializes transfers at each destination port; links inside
+	// the butterfly are not modelled.
 	NoCStageCycles int64
-	// DetailedNoC swaps the port-level request network for the
-	// flit-level butterfly with per-link contention.
-	DetailedNoC bool
 	// L3 optionally stacks an STT-MRAM tier between the L2 banks and
 	// DRAM (the zero value keeps the paper's two-level hierarchy).
 	L3 L3Spec

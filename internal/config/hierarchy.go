@@ -231,20 +231,19 @@ func (g GPUConfig) newTier(t TierSpec, back core.Backing) (core.Tier, error) {
 		}, back), nil
 	case TierTwoPart:
 		return core.NewTwoPartBank(core.TwoPartConfig{
-			LRBytes:           g.L2.LRBytes / g.NumBanks,
-			LRWays:            g.L2.LRWays,
-			LRCell:            g.lrCell(),
-			HRBytes:           g.L2.HRBytes / g.NumBanks,
-			HRWays:            g.L2.HRWays,
-			HRCell:            g.hrCell(),
-			LineBytes:         g.LineBytes,
-			ClockHz:           g.ClockHz,
-			WriteThreshold:    g.L2.WriteThreshold,
-			AdaptiveThreshold: g.L2.AdaptiveThreshold,
-			BufferBlocks:      g.L2.BufferBlocks,
-			ParallelSearch:    g.L2.ParallelSearch,
-			DisableMigration:  g.L2.DisableMigration,
-			Replacement:       g.L2.Replacement,
+			LRBytes:          g.L2.LRBytes / g.NumBanks,
+			LRWays:           g.L2.LRWays,
+			LRCell:           g.lrCell(),
+			HRBytes:          g.L2.HRBytes / g.NumBanks,
+			HRWays:           g.L2.HRWays,
+			HRCell:           g.hrCell(),
+			LineBytes:        g.LineBytes,
+			ClockHz:          g.ClockHz,
+			WriteThreshold:   g.L2.WriteThreshold,
+			BufferBlocks:     g.L2.BufferBlocks,
+			ParallelSearch:   g.L2.ParallelSearch,
+			DisableMigration: g.L2.DisableMigration,
+			Replacement:      g.L2.Replacement,
 		}, back), nil
 	default:
 		return nil, fmt.Errorf("config %s: unknown tier kind %q", g.Name, t.Kind)

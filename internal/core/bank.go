@@ -117,10 +117,6 @@ type BankStats struct {
 	DRAMFills      uint64
 	DRAMWritebacks uint64
 
-	// Adaptive-threshold activity (extension; zero when static).
-	ThresholdRaises uint64
-	ThresholdLowers uint64
-
 	// Online-reconfiguration activity (the C4 controller's explicit
 	// transitions; all zero on statically configured banks).
 	ReconfigThreshold uint64 // SetWriteThreshold transitions applied

@@ -30,8 +30,6 @@ func registerBankStats(r *metrics.Registry, prefix string, s *BankStats) {
 	ext("overflow_writebacks", &s.OverflowWritebacks)
 	ext("dram_fills", &s.DRAMFills)
 	ext("dram_writebacks", &s.DRAMWritebacks)
-	ext("threshold_raises", &s.ThresholdRaises)
-	ext("threshold_lowers", &s.ThresholdLowers)
 }
 
 // registerDRAMStats adopts the memory controller's counters under

@@ -35,11 +35,6 @@ type TwoPartConfig struct {
 	// settles on buffers "to hold 2 cache lines", keeping the total
 	// added SRAM (counters + buffers) under 6KB.
 	BufferBlocks int
-	// AdaptiveThreshold lets the WWS monitor tune the write threshold
-	// at runtime (the paper's static analysis picks 1; this extension
-	// raises the threshold when migration pressure overflows the swap
-	// buffers and relaxes it back when pressure subsides).
-	AdaptiveThreshold bool
 	// ParallelSearch probes both tag arrays at once: lower latency,
 	// higher energy. The paper's design uses sequential search (reads
 	// probe HR first, writes probe LR first).
@@ -108,10 +103,9 @@ type TwoPartBank struct {
 	lastLRScan         int64
 	lastHRScan         int64
 
-	// Adaptive-threshold window snapshots.
-	threshold     uint8
-	winOverflows  uint64
-	winMigrations uint64
+	// threshold is the live write threshold: cfg.WriteThreshold unless
+	// SetWriteThreshold (reconfig.go) has retuned it.
+	threshold uint8
 
 	// Online-reconfiguration state (see reconfig.go): the HR cell
 	// currently installed (cfg.HRCell unless SetHRRetention switched
@@ -205,7 +199,7 @@ func NewTwoPartBank(cfg TwoPartConfig, back Backing) *TwoPartBank {
 }
 
 // Threshold returns the WWS monitor's current write threshold (equal to
-// the configured value unless AdaptiveThreshold is tuning it).
+// the configured value unless SetWriteThreshold has retuned it).
 func (b *TwoPartBank) Threshold() uint8 { return b.threshold }
 
 // Config returns the bank's configuration with defaults applied, as the
@@ -501,9 +495,6 @@ func (b *TwoPartBank) TickPeriod() int64 {
 }
 
 func (b *TwoPartBank) scanLR(now int64) {
-	if b.cfg.AdaptiveThreshold {
-		b.adaptThreshold()
-	}
 	b.energy.RCCounters += rcEnergy * float64(b.lr.ValidLines())
 	refresh, drop := b.scanRefresh[:0], b.scanDrop[:0]
 	words := b.lr.MaskWords()
@@ -562,28 +553,6 @@ func (b *TwoPartBank) scanHR(now int64) {
 		b.stats.HRExpiries++
 	}
 	b.scanDrop = expired[:0]
-}
-
-// adaptThreshold retunes the write threshold once per LR counter
-// window: swap-buffer overflows mean migration pressure exceeds the LR
-// write bandwidth, so back off; a quiet window relaxes the threshold
-// back toward the paper's 1.
-func (b *TwoPartBank) adaptThreshold() {
-	overflows := b.stats.OverflowWritebacks - b.winOverflows
-	migrations := (b.stats.MigrationsToLR + b.stats.LRWriteFills) - b.winMigrations
-	b.winOverflows = b.stats.OverflowWritebacks
-	b.winMigrations = b.stats.MigrationsToLR + b.stats.LRWriteFills
-	switch {
-	case migrations > 0 && overflows*8 > migrations && b.threshold < 15:
-		b.threshold = b.threshold*2 + 1
-		if b.threshold > 15 {
-			b.threshold = 15
-		}
-		b.stats.ThresholdRaises++
-	case overflows == 0 && b.threshold > b.cfg.WriteThreshold:
-		b.threshold--
-		b.stats.ThresholdLowers++
-	}
 }
 
 // Drain implements Bank.
@@ -662,8 +631,6 @@ func (b *TwoPartBank) Reset() {
 	b.hr2lr.reset()
 	b.lr2hr.reset()
 	b.threshold = b.cfg.WriteThreshold
-	b.winOverflows = 0
-	b.winMigrations = 0
 	b.frontNextFree = 0
 	b.lrPorts.reset()
 	b.hrPorts.reset()

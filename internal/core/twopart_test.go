@@ -652,55 +652,6 @@ func TestReturnToHRVictimOnFullBuffer(t *testing.T) {
 	})
 }
 
-func TestAdaptiveThresholdRaisesUnderPressure(t *testing.T) {
-	b := newTestBank(func(c *TwoPartConfig) {
-		c.AdaptiveThreshold = true
-		c.BufferBlocks = 1 // force swap-buffer overflows
-	})
-	if b.Threshold() != 1 {
-		t.Fatalf("initial threshold = %d", b.Threshold())
-	}
-	// Hammer write misses so the 1-slot buffer overflows, then cross an
-	// LR scan boundary to trigger adaptation.
-	now := int64(0)
-	for i := 0; i < 200; i++ {
-		now += 2
-		b.Access(now, uint64(0x10000+i*0x1000), true)
-	}
-	b.Tick(now + b.lrTickCy + 1)
-	if b.Threshold() <= 1 {
-		t.Errorf("threshold should rise under overflow pressure, still %d", b.Threshold())
-	}
-	if b.Stats().ThresholdRaises == 0 {
-		t.Error("raise not recorded")
-	}
-}
-
-func TestAdaptiveThresholdRelaxesWhenQuiet(t *testing.T) {
-	b := newTestBank(func(c *TwoPartConfig) {
-		c.AdaptiveThreshold = true
-		c.BufferBlocks = 1
-	})
-	now := int64(0)
-	for i := 0; i < 200; i++ {
-		now += 2
-		b.Access(now, uint64(0x10000+i*0x1000), true)
-	}
-	b.Tick(now + b.lrTickCy + 1)
-	raised := b.Threshold()
-	if raised <= 1 {
-		t.Skip("pressure did not raise threshold in this configuration")
-	}
-	// Quiet windows: no traffic, several scan boundaries pass.
-	b.Tick(now + 20*b.lrTickCy)
-	if b.Threshold() != 1 {
-		t.Errorf("threshold should relax back to 1 when quiet, got %d (was %d)", b.Threshold(), raised)
-	}
-	if b.Stats().ThresholdLowers == 0 {
-		t.Error("lower not recorded")
-	}
-}
-
 func TestStaticThresholdNeverAdapts(t *testing.T) {
 	b := newTestBank(func(c *TwoPartConfig) { c.BufferBlocks = 1 })
 	now := int64(0)
@@ -709,7 +660,7 @@ func TestStaticThresholdNeverAdapts(t *testing.T) {
 		b.Access(now, uint64(0x10000+i*0x1000), true)
 	}
 	b.Tick(now + 20*b.lrTickCy)
-	if b.Threshold() != 1 || b.Stats().ThresholdRaises != 0 {
-		t.Errorf("static threshold moved: %d, raises=%d", b.Threshold(), b.Stats().ThresholdRaises)
+	if b.Threshold() != 1 || b.Stats().ReconfigThreshold != 0 {
+		t.Errorf("static threshold moved: %d, transitions=%d", b.Threshold(), b.Stats().ReconfigThreshold)
 	}
 }

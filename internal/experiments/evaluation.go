@@ -169,7 +169,7 @@ type AblationRow struct {
 var AblationVariants = []string{
 	"parallel-search", "no-migration", "tiny-buffers",
 	"fifo-replacement", "random-replacement", "wear-aware-replacement",
-	"gto-scheduler", "detailed-noc", "sram-lr-hybrid", "adaptive-threshold",
+	"gto-scheduler", "sram-lr-hybrid",
 }
 
 func ablationConfig(variant string) config.GPUConfig {
@@ -189,14 +189,10 @@ func ablationConfig(variant string) config.GPUConfig {
 		cfg.L2.Replacement = cache.WearAware
 	case "gto-scheduler":
 		cfg.SM.Scheduler = gpu.GTO
-	case "detailed-noc":
-		cfg.DetailedNoC = true
 	case "sram-lr-hybrid":
 		// Related-work design point (hybrid SRAM/STT): fast SRAM LR,
 		// at the cost of leakage and (unmodeled) 4x LR area.
 		cfg.L2.SRAMLR = true
-	case "adaptive-threshold":
-		cfg.L2.AdaptiveThreshold = true
 	default:
 		panic(fmt.Sprintf("experiments: unknown ablation %q", variant))
 	}

@@ -113,7 +113,7 @@ func (p Params) opts() sim.Options {
 // run executes one configuration for one spec. A cancelled Params
 // context yields a partial result (disclosed by the sweep's caller).
 func run(cfg config.GPUConfig, spec workloads.Spec, p Params) sim.Result {
-	r, _ := sim.RunOneContext(p.ctx(), cfg, spec, p.opts())
+	r, _ := sim.New(cfg, spec, p.opts()).RunContext(p.ctx())
 	return r
 }
 

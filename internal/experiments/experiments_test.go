@@ -196,18 +196,24 @@ func TestFig8(t *testing.T) {
 	}
 }
 
+// TestAblation runs every listed variant, so a name that no longer
+// maps to a configuration fails here rather than in a full sweep.
 func TestAblation(t *testing.T) {
-	rows := Ablation(tiny("bfs"), []string{"parallel-search", "no-migration"})
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	rows := Ablation(tiny("bfs"), nil)
+	if len(rows) != len(AblationVariants) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(AblationVariants))
 	}
-	for _, r := range rows {
+	out := FormatAblation(rows)
+	for i, r := range rows {
+		if r.Variant != AblationVariants[i] {
+			t.Errorf("row %d variant = %q, want %q", i, r.Variant, AblationVariants[i])
+		}
 		if r.Speedup <= 0 || r.DynPower <= 0 {
 			t.Errorf("bad ablation row: %+v", r)
 		}
-	}
-	if !strings.Contains(FormatAblation(rows), "parallel-search") {
-		t.Error("FormatAblation missing variant")
+		if !strings.Contains(out, " "+r.Variant+" ") {
+			t.Errorf("FormatAblation missing variant %s", r.Variant)
+		}
 	}
 }
 

@@ -94,20 +94,3 @@ func (n *Network) DeliverUncontended(now int64, output int) int64 {
 	n.Stats.Transfers++
 	return now + n.BaseLatency()
 }
-
-// EnergyPerTransfer returns the dynamic energy in joules of moving a
-// payload of payloadBytes through the network: a per-hop, per-byte cost
-// across all stages. Indicative wire+router energy at 40nm.
-const energyPerBytePerStage = 0.06e-12 // 0.06 pJ/byte/stage
-
-func (n *Network) EnergyPerTransfer(payloadBytes int) float64 {
-	return float64(payloadBytes) * float64(n.stages) * energyPerBytePerStage
-}
-
-// Reset clears port state and statistics.
-func (n *Network) Reset() {
-	for i := range n.nextFree {
-		n.nextFree[i] = 0
-	}
-	n.Stats = Stats{}
-}

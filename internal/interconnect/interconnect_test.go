@@ -100,31 +100,6 @@ func TestDeliverMonotonePerPort(t *testing.T) {
 	}
 }
 
-func TestEnergyPerTransfer(t *testing.T) {
-	n := New(16, 16, 2) // 4 stages
-	got := n.EnergyPerTransfer(256)
-	want := 256.0 * 4 * 0.06e-12
-	if got != want {
-		t.Errorf("EnergyPerTransfer = %v, want %v", got, want)
-	}
-	if n.EnergyPerTransfer(8) >= got {
-		t.Error("smaller payload should cost less")
-	}
-}
-
-func TestReset(t *testing.T) {
-	n := New(4, 4, 2)
-	n.Deliver(0, 0)
-	n.Deliver(0, 0)
-	n.Reset()
-	if n.Stats.Transfers != 0 {
-		t.Error("Reset left stats")
-	}
-	if got := n.Deliver(0, 0); got != n.BaseLatency() {
-		t.Errorf("Reset left port state: delivery at %d", got)
-	}
-}
-
 func TestDeliverUncontended(t *testing.T) {
 	n := New(4, 4, 2)
 	// Out-of-order entry times must not queue behind each other.

@@ -85,8 +85,7 @@ func checkUniform(b *core.UniformBank, now int64) error {
 		"EvictionsToHR": s.EvictionsToHR, "Refreshes": s.Refreshes,
 		"LRExpiryDrops": s.LRExpiryDrops, "HRExpiries": s.HRExpiries,
 		"OverflowWritebacks": s.OverflowWritebacks,
-		"ThresholdRaises":    s.ThresholdRaises, "ThresholdLowers": s.ThresholdLowers,
-		"ReconfigThreshold": s.ReconfigThreshold, "ReconfigLRResize": s.ReconfigLRResize,
+		"ReconfigThreshold":  s.ReconfigThreshold, "ReconfigLRResize": s.ReconfigLRResize,
 		"ReconfigRetention": s.ReconfigRetention, "ReconfigDemotions": s.ReconfigDemotions,
 	} {
 		if v != 0 {
@@ -252,7 +251,7 @@ func checkThreshold(b *core.TwoPartBank) error {
 	if th < cfg.WriteThreshold {
 		return fmt.Errorf("write threshold %d below configured floor %d", th, cfg.WriteThreshold)
 	}
-	if !cfg.AdaptiveThreshold && !b.ThresholdManaged() && th != cfg.WriteThreshold {
+	if !b.ThresholdManaged() && th != cfg.WriteThreshold {
 		return fmt.Errorf("static threshold drifted: %d, configured %d", th, cfg.WriteThreshold)
 	}
 	return nil

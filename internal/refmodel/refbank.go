@@ -207,9 +207,7 @@ type RefTwoPart struct {
 	lastLRScan         int64
 	lastHRScan         int64
 
-	threshold     uint8
-	winOverflows  uint64
-	winMigrations uint64
+	threshold uint8
 
 	// hrCell is the currently installed HR cell (cfg.HRCell until a
 	// SetHRRetention transition switches tiers), mirroring the optimized
@@ -476,9 +474,6 @@ func (b *RefTwoPart) Tick(now int64) {
 // through the LR->HR buffer or, when the buffer is full, are dropped
 // (dirty drops are forced to DRAM).
 func (b *RefTwoPart) scanLR(now int64) {
-	if b.cfg.AdaptiveThreshold {
-		b.adaptThreshold()
-	}
 	b.energy.RCCounters += rcEnergy * float64(b.lr.validLines())
 	var refresh, drop [][2]int
 	for set := range b.lr.lines {
@@ -534,25 +529,6 @@ func (b *RefTwoPart) scanHR(now int64) {
 			writeback(b.mc, now, ev.addr, &b.stats)
 		}
 		b.stats.HRExpiries++
-	}
-}
-
-// adaptThreshold retunes the write threshold once per LR window.
-func (b *RefTwoPart) adaptThreshold() {
-	overflows := b.stats.OverflowWritebacks - b.winOverflows
-	migrations := (b.stats.MigrationsToLR + b.stats.LRWriteFills) - b.winMigrations
-	b.winOverflows = b.stats.OverflowWritebacks
-	b.winMigrations = b.stats.MigrationsToLR + b.stats.LRWriteFills
-	switch {
-	case migrations > 0 && overflows*8 > migrations && b.threshold < 15:
-		b.threshold = b.threshold*2 + 1
-		if b.threshold > 15 {
-			b.threshold = 15
-		}
-		b.stats.ThresholdRaises++
-	case overflows == 0 && b.threshold > b.cfg.WriteThreshold:
-		b.threshold--
-		b.stats.ThresholdLowers++
 	}
 }
 

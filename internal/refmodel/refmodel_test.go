@@ -95,9 +95,9 @@ func TestDifferentialRecordedTrace(t *testing.T) {
 
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
-	sim.RunOne(config.C2(), spec, sim.Options{
+	sim.New(config.C2(), spec, sim.Options{
 		TraceSink: func(r trace.Record) { _ = w.Append(r) },
-	})
+	}).Run()
 	if err := w.Flush(); err != nil {
 		t.Fatalf("flush trace: %v", err)
 	}

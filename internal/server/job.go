@@ -270,7 +270,7 @@ func runSimulation(ctx context.Context, req SimulationRequest) (*sim.StatsDump, 
 
 	spec := req.benchSpec()
 	opts.WarmupInstructions = req.Warmup
-	r, err := sim.RunOneContext(ctx, cfg, spec, opts)
+	r, err := sim.New(cfg, spec, opts).RunContext(ctx)
 	if err != nil {
 		return nil, err
 	}

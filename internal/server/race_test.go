@@ -21,8 +21,8 @@ import (
 // LRU, waiter accounting, metric callbacks racing Snapshot). Beyond not
 // racing, it asserts the singleflight property — each distinct request
 // key simulates at most once, duplicates join or hit the cache — and
-// that every returned dump is byte-identical to a direct sim.RunOne of
-// the same spec.
+// that every returned dump is byte-identical to a direct run of the
+// same spec.
 func TestConcurrentDuplicateAndDistinct(t *testing.T) {
 	benches := []string{"bfs", "kmeans", "stencil"}
 
@@ -43,7 +43,7 @@ func TestConcurrentDuplicateAndDistinct(t *testing.T) {
 		spec = spec.Scale(req.Scale)
 		spec.WarpsPerSM = req.Warps
 		reg := metrics.NewRegistry(true)
-		res := sim.RunOne(cfg, spec, sim.Options{Metrics: reg})
+		res := sim.New(cfg, spec, sim.Options{Metrics: reg}).Run()
 		dump, err := json.Marshal(sim.DumpStats(res, reg))
 		if err != nil {
 			t.Fatal(err)
@@ -85,7 +85,7 @@ func TestConcurrentDuplicateAndDistinct(t *testing.T) {
 					return
 				}
 				if string(got) != want[bench] {
-					errs <- fmt.Errorf("%s: dump diverges from direct sim.RunOne", bench)
+					errs <- fmt.Errorf("%s: dump diverges from direct sim.New(...).Run()", bench)
 				}
 			}(b)
 		}

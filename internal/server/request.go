@@ -20,8 +20,8 @@ import (
 
 // SimulationRequest is the body of POST /v1/simulations.
 type SimulationRequest struct {
-	// Config names a GPU configuration (baseline-SRAM, baseline-STT,
-	// C1, C2, C3).
+	// Config names a GPU configuration: any name in config.Extended()
+	// (baseline-SRAM, baseline-STT, C1, C2, C3, C1-L3, C2-L3, C4).
 	Config string `json:"config"`
 	// Bench names one benchmark; App names one multi-kernel
 	// application; Trace names an uploaded trace by its content address

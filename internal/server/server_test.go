@@ -104,11 +104,11 @@ func TestSubmitPollResult(t *testing.T) {
 	spec.WarpsPerSM = 6
 	cfg, _ := config.ByName("C2")
 	reg := metrics.NewRegistry(true)
-	want := sim.DumpStats(sim.RunOne(cfg, spec, sim.Options{Metrics: reg}), reg)
+	want := sim.DumpStats(sim.New(cfg, spec, sim.Options{Metrics: reg}).Run(), reg)
 	gotJSON, _ := json.Marshal(st.Result)
 	wantJSON, _ := json.Marshal(want)
 	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Errorf("service dump diverges from direct sim.RunOne dump:\n%s\nvs\n%s", gotJSON, wantJSON)
+		t.Errorf("service dump diverges from direct sim.New(...).Run() dump:\n%s\nvs\n%s", gotJSON, wantJSON)
 	}
 }
 

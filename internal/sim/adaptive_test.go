@@ -29,7 +29,7 @@ func adaptiveGoldenCfg() config.GPUConfig {
 // engine shows up as a byte diff here.
 func TestAdaptiveStatsDumpGolden(t *testing.T) {
 	reg := metrics.NewRegistry(true)
-	res := RunOne(adaptiveGoldenCfg(), exportSpec(t), Options{Metrics: reg})
+	res := New(adaptiveGoldenCfg(), exportSpec(t), Options{Metrics: reg}).Run()
 	dump := DumpStats(res, reg)
 
 	var buf bytes.Buffer
@@ -63,7 +63,7 @@ func TestAdaptiveStatsDumpGolden(t *testing.T) {
 // epochs elapsed and at least one transition taken.
 func TestAdaptiveDumpCarriesReconfigCounters(t *testing.T) {
 	reg := metrics.NewRegistry(true)
-	res := RunOne(adaptiveGoldenCfg(), exportSpec(t), Options{Metrics: reg})
+	res := New(adaptiveGoldenCfg(), exportSpec(t), Options{Metrics: reg}).Run()
 	d := DumpStats(res, reg)
 
 	for _, name := range []string{
@@ -85,7 +85,7 @@ func TestAdaptiveDumpCarriesReconfigCounters(t *testing.T) {
 	// Disabled runs must not leak controller counters into dumps — that
 	// would shift every existing golden.
 	reg2 := metrics.NewRegistry(true)
-	res2 := RunOne(config.C2(), exportSpec(t), Options{Metrics: reg2})
+	res2 := New(config.C2(), exportSpec(t), Options{Metrics: reg2}).Run()
 	d2 := DumpStats(res2, reg2)
 	for name := range d2.Counters {
 		if name == "adaptive.epochs" {
@@ -103,7 +103,7 @@ func TestAdaptiveDumpCarriesReconfigCounters(t *testing.T) {
 func TestAdaptiveRunDeterministic(t *testing.T) {
 	dump := func() []byte {
 		reg := metrics.NewRegistry(true)
-		res := RunOne(adaptiveGoldenCfg(), exportSpec(t), Options{Metrics: reg})
+		res := New(adaptiveGoldenCfg(), exportSpec(t), Options{Metrics: reg}).Run()
 		var buf bytes.Buffer
 		if err := DumpStats(res, reg).WriteJSON(&buf); err != nil {
 			t.Fatalf("WriteJSON: %v", err)

@@ -25,15 +25,15 @@ func bigSpec(t *testing.T) workloads.Spec {
 func TestRunContextCompletesWithBackground(t *testing.T) {
 	cfg, _ := config.ByName("C2")
 	spec := tinySpec(t, "bfs")
-	want := RunOne(cfg, spec, Options{})
-	got, err := RunOneContext(context.Background(), cfg, spec, Options{})
+	want := New(cfg, spec, Options{}).Run()
+	got, err := New(cfg, spec, Options{}).RunContext(context.Background())
 	if err != nil {
-		t.Fatalf("RunOneContext: unexpected error %v", err)
+		t.Fatalf("RunContext: unexpected error %v", err)
 	}
 	// A background context must not perturb the simulation: same event
 	// sequence, same result.
 	if got.Cycles != want.Cycles || got.Instructions != want.Instructions || got.IPC != want.IPC {
-		t.Errorf("RunOneContext(Background) = cycles %d instr %d, Run = cycles %d instr %d",
+		t.Errorf("RunContext(Background) = cycles %d instr %d, Run = cycles %d instr %d",
 			got.Cycles, got.Instructions, want.Cycles, want.Instructions)
 	}
 }
@@ -42,7 +42,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	cfg, _ := config.ByName("C2")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, err := RunOneContext(ctx, cfg, tinySpec(t, "bfs"), Options{})
+	r, err := New(cfg, tinySpec(t, "bfs"), Options{}).RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -60,7 +60,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	r, err := RunOneContext(ctx, cfg, spec, Options{})
+	r, err := New(cfg, spec, Options{}).RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled (run finished in %v — spec too small?)",
 			err, time.Since(start))
@@ -82,7 +82,7 @@ func TestRunContextDeadline(t *testing.T) {
 	cfg, _ := config.ByName("C1")
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()
-	_, err := RunOneContext(ctx, cfg, bigSpec(t), Options{})
+	_, err := New(cfg, bigSpec(t), Options{}).RunContext(ctx)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -98,7 +98,7 @@ func TestRunContextCancelOnSRAMBaseline(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, err := RunOneContext(ctx, cfg, bigSpec(t), Options{})
+	_, err := New(cfg, bigSpec(t), Options{}).RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -41,7 +41,7 @@ func exportSpec(t *testing.T) workloads.Spec {
 func TestStatsDumpGolden(t *testing.T) {
 	reg := metrics.NewRegistry(true)
 	cfg := config.C2()
-	res := RunOne(cfg, exportSpec(t), Options{Metrics: reg})
+	res := New(cfg, exportSpec(t), Options{Metrics: reg}).Run()
 	dump := DumpStats(res, reg)
 
 	var buf bytes.Buffer
@@ -76,10 +76,10 @@ func TestStatsDumpGolden(t *testing.T) {
 // encoding/json's exponent thresholds.
 func TestAppendJSONMatchesMarshal(t *testing.T) {
 	reg := metrics.NewRegistry(true)
-	c2 := DumpStats(RunOne(config.C2(), exportSpec(t), Options{Metrics: reg}), reg)
+	c2 := DumpStats(New(config.C2(), exportSpec(t), Options{Metrics: reg}).Run(), reg)
 	reg = metrics.NewRegistry(true)
-	stacked := DumpStats(RunOne(config.C2L3(), exportSpec(t), Options{Metrics: reg}), reg)
-	bare := RunOne(config.C1(), exportSpec(t), Options{}).Dump()
+	stacked := DumpStats(New(config.C2L3(), exportSpec(t), Options{Metrics: reg}).Run(), reg)
+	bare := New(config.C1(), exportSpec(t), Options{}).Run().Dump()
 	odd := StatsDump{
 		Schema: StatsSchema, Config: "C<2>&\"x\"", Benchmark: "bf\u00e9s\u2028\t",
 		IPC: 1e-7, Cycles: -1,
@@ -114,7 +114,7 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 // reads, with live values, regardless of what the golden pins.
 func TestStatsDumpCarriesPaperCounters(t *testing.T) {
 	reg := metrics.NewRegistry(true)
-	res := RunOne(config.C2(), exportSpec(t), Options{Metrics: reg})
+	res := New(config.C2(), exportSpec(t), Options{Metrics: reg}).Run()
 	d := DumpStats(res, reg)
 
 	if d.Schema != StatsSchema {
@@ -184,7 +184,7 @@ func TestInstrumentationDoesNotPerturbResults(t *testing.T) {
 	if !ok {
 		t.Fatal("bfs missing from suite")
 	}
-	third := RunOne(config.C1(), spec, Options{}).Instructions / 3
+	third := New(config.C1(), spec, Options{}).Run().Instructions / 3
 	lr130 := config.C1()
 	lr130.Name = "C1-LR130us"
 	lr130.L2.LRRetention = 130 * time.Microsecond
@@ -201,9 +201,9 @@ func TestInstrumentationDoesNotPerturbResults(t *testing.T) {
 	}
 	for _, c := range cases {
 		opts := Options{WarmupInstructions: c.warmup}
-		bare := RunOne(c.cfg, spec, opts)
+		bare := New(c.cfg, spec, opts).Run()
 		obsOpts, tr := observed(c.cfg.ClockHz, opts)
-		instr := RunOne(c.cfg, spec, obsOpts)
+		instr := New(c.cfg, spec, obsOpts).Run()
 		if !reflect.DeepEqual(bare, instr) {
 			t.Errorf("%s/warmup=%d: instrumented run diverged from bare run", c.cfg.Name, c.warmup)
 		}

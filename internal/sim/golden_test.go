@@ -296,7 +296,7 @@ func TestWarmupDoesNotPerturbTrajectory(t *testing.T) {
 		t.Fatalf("warmup boundary %d outside run (end %d)", boundary, warmEnd)
 	}
 
-	r := RunOne(config.C1(), spec, Options{WarmupInstructions: 500})
+	r := New(config.C1(), spec, Options{WarmupInstructions: 500}).Run()
 	if r.Cycles != warmEnd-boundary {
 		t.Errorf("measured window = %d cycles, want end-boundary = %d", r.Cycles, warmEnd-boundary)
 	}

@@ -27,7 +27,7 @@ func TestStackedL3RunEndToEnd(t *testing.T) {
 	spec = spec.Scale(0.1)
 	spec.WarpsPerSM = 6
 	reg := metrics.NewRegistry(true)
-	res := RunOne(cfg, spec, Options{Metrics: reg})
+	res := New(cfg, spec, Options{Metrics: reg}).Run()
 
 	if len(res.Tiers) != 3 {
 		t.Fatalf("tier roll-ups = %d rows, want 3 (l2, l3, dram): %+v", len(res.Tiers), res.Tiers)
@@ -72,7 +72,7 @@ func TestStackedL3RunEndToEnd(t *testing.T) {
 // no tier rows, and the dump stays on the v1 schema byte-for-byte (the
 // golden test pins the exact bytes; this pins the reason).
 func TestSingleTierStaysV1(t *testing.T) {
-	res := RunOne(config.C2(), exportSpec(t), Options{})
+	res := New(config.C2(), exportSpec(t), Options{}).Run()
 	if res.Tiers != nil {
 		t.Fatalf("single-tier run grew tier rows: %+v", res.Tiers)
 	}

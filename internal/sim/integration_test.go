@@ -23,7 +23,7 @@ func runPair(t *testing.T, bench string, scale float64, a, b string) (ra, rb Res
 	spec.WarpsPerSM = 16
 	ca, _ := config.ByName(a)
 	cb, _ := config.ByName(b)
-	return RunOne(ca, spec, Options{}), RunOne(cb, spec, Options{})
+	return New(ca, spec, Options{}).Run(), New(cb, spec, Options{}).Run()
 }
 
 func TestInsensitiveBenchmarkUnmovedByC1(t *testing.T) {
@@ -55,13 +55,13 @@ func TestArchivalBaselineDegradesWriteHeavyFittingKernel(t *testing.T) {
 	// stalls behind load latency and masks the effect.
 	spec, _ := workloads.ByName("nw")
 	spec = spec.Scale(0.4)
-	base := RunOne(config.BaselineSRAM(), spec, Options{})
-	stt := RunOne(config.BaselineSTT(), spec, Options{})
+	base := New(config.BaselineSRAM(), spec, Options{}).Run()
+	stt := New(config.BaselineSTT(), spec, Options{}).Run()
 	if stt.IPC >= base.IPC {
 		t.Errorf("archival STT (%v) should degrade nw vs SRAM (%v)", stt.IPC, base.IPC)
 	}
 	// But the proposed C1 must not degrade it.
-	c1 := RunOne(config.C1(), spec, Options{})
+	c1 := New(config.C1(), spec, Options{}).Run()
 	if c1.IPC < base.IPC*0.99 {
 		t.Errorf("C1 (%v) must not degrade nw vs SRAM (%v)", c1.IPC, base.IPC)
 	}
@@ -110,7 +110,7 @@ func TestTrafficConservation(t *testing.T) {
 	spec, _ := workloads.ByName("bfs")
 	spec = spec.Scale(0.1)
 	spec.WarpsPerSM = 8
-	r := RunOne(config.BaselineSRAM(), spec, Options{})
+	r := New(config.BaselineSRAM(), spec, Options{}).Run()
 	maxReads := r.L1.ReadMisses + r.Const.ReadMisses + r.Tex.ReadMisses
 	if r.Bank.Reads > maxReads {
 		t.Errorf("L2 reads (%d) exceed L1+const+tex read misses (%d)", r.Bank.Reads, maxReads)
@@ -132,8 +132,8 @@ func TestDynamicPowerOrdering(t *testing.T) {
 	spec, _ := workloads.ByName("stencil")
 	spec = spec.Scale(0.15)
 	spec.WarpsPerSM = 16
-	stt := RunOne(config.BaselineSTT(), spec, Options{})
-	c1 := RunOne(config.C1(), spec, Options{})
+	stt := New(config.BaselineSTT(), spec, Options{}).Run()
+	c1 := New(config.C1(), spec, Options{}).Run()
 	if stt.DynamicPowerW <= c1.DynamicPowerW {
 		t.Errorf("archival dynamic power (%v) should exceed C1's (%v)",
 			stt.DynamicPowerW, c1.DynamicPowerW)
@@ -157,7 +157,7 @@ func TestRefreshesHappenOnLongRuns(t *testing.T) {
 	// reached its retention boundary.
 	spec, _ := workloads.ByName("tpacf") // long-running, low write rate
 	spec.WarpsPerSM = 24
-	r := RunOne(config.C1(), spec, Options{})
+	r := New(config.C1(), spec, Options{}).Run()
 	if r.Cycles < 700_000 {
 		t.Skipf("run too short to exercise retention: %d cycles", r.Cycles)
 	}

@@ -36,12 +36,12 @@ func TestMain(m *testing.M) {
 func TestInvariantCheckHookFires(t *testing.T) {
 	calls := 0
 	cfg := config.C2()
-	res := RunOne(cfg, exportSpec(t), Options{
+	res := New(cfg, exportSpec(t), Options{
 		InvariantCheck: func(bank int, b core.Bank, now int64) error {
 			calls++
 			return refmodel.CheckBank(b, now)
 		},
-	})
+	}).Run()
 	if calls < cfg.NumBanks {
 		t.Fatalf("invariant check ran %d times, want at least one per bank (%d)", calls, cfg.NumBanks)
 	}
@@ -62,9 +62,9 @@ func TestInvariantViolationPanics(t *testing.T) {
 			t.Fatalf("panic message %q does not identify the violation", msg)
 		}
 	}()
-	RunOne(config.C2(), exportSpec(t), Options{
+	New(config.C2(), exportSpec(t), Options{
 		InvariantCheck: func(bank int, b core.Bank, now int64) error {
 			return fmt.Errorf("synthetic violation for test")
 		},
-	})
+	}).Run()
 }

@@ -16,14 +16,14 @@ import (
 
 // Record runs one benchmark on one configuration while capturing its L2
 // reference stream, returning the live Result alongside the Recording.
-// The Result is exactly what RunOne would have produced; recording does
-// not perturb the simulation.
+// The Result is exactly what New(cfg, spec, opts).Run() would have
+// produced; recording does not perturb the simulation.
 func Record(cfg config.GPUConfig, spec workloads.Spec, opts Options) (Result, *trace.Recording) {
 	r, rec, _ := RecordContext(context.Background(), cfg, spec, opts)
 	return r, rec
 }
 
-// RecordContext is Record with cancellation (see RunOneContext). A
+// RecordContext is Record with cancellation (see Simulator.RunContext). A
 // cancelled run yields the partial result and the stream recorded so
 // far; partial recordings should not enter shared caches.
 func RecordContext(ctx context.Context, cfg config.GPUConfig, spec workloads.Spec, opts Options) (Result, *trace.Recording, error) {
@@ -44,14 +44,9 @@ func RecordContext(ctx context.Context, cfg config.GPUConfig, spec workloads.Spe
 	return r, rec, err
 }
 
-// RecordApp is Record for multi-kernel applications: one recording
-// spanning every kernel, with a phase marker at each launch.
-func RecordApp(cfg config.GPUConfig, app workloads.App, opts Options) (AppResult, *trace.Recording) {
-	ar, rec, _ := RecordAppContext(context.Background(), cfg, app, opts)
-	return ar, rec
-}
-
-// RecordAppContext is RecordApp with cancellation (see RunAppContext).
+// RecordAppContext is Record for multi-kernel applications: one
+// recording spanning every kernel, with a phase marker at each launch.
+// Cancellation behaves as in RunAppContext.
 func RecordAppContext(ctx context.Context, cfg config.GPUConfig, app workloads.App, opts Options) (AppResult, *trace.Recording, error) {
 	rec := &trace.Recording{
 		Workload:     app.Name,

@@ -13,9 +13,9 @@ import (
 
 func TestRecordDoesNotPerturbTheRun(t *testing.T) {
 	// Recording is pure observation: the recording run's Result must be
-	// byte-identical to a plain RunOne of the same workload.
+	// byte-identical to a plain Run of the same workload.
 	spec := sweepSpec()
-	plain := RunOne(config.C1(), spec, Options{})
+	plain := New(config.C1(), spec, Options{}).Run()
 	recorded, _ := Record(config.C1(), spec, Options{})
 	pj, _ := json.Marshal(plain.Dump())
 	rj, _ := json.Marshal(recorded.Dump())
@@ -50,7 +50,7 @@ func TestRecordCapturesMetadata(t *testing.T) {
 
 func TestRecordCapturesWarmupBoundary(t *testing.T) {
 	spec := sweepSpec()
-	cold := RunOne(config.C1(), spec, Options{})
+	cold := New(config.C1(), spec, Options{}).Run()
 	r, rec := Record(config.C1(), spec, Options{WarmupInstructions: cold.Instructions / 2})
 	if !rec.Warmed() {
 		t.Fatal("warmed run not marked")
@@ -84,7 +84,7 @@ func TestRecordAppCapturesPhases(t *testing.T) {
 		app.Kernels[i] = app.Kernels[i].Scale(0.05)
 		app.Kernels[i].WarpsPerSM = 6
 	}
-	ar, rec := RecordApp(config.C1(), app, Options{})
+	ar, rec, _ := RecordAppContext(context.Background(), config.C1(), app, Options{})
 	if err := rec.Validate(); err != nil {
 		t.Fatalf("recording invalid: %v", err)
 	}

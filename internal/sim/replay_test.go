@@ -18,9 +18,9 @@ func recordRun(t *testing.T, cfg config.GPUConfig) (Result, []trace.Record) {
 	spec.WarpsPerSM = 6
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
-	r := RunOne(cfg, spec, Options{
+	r := New(cfg, spec, Options{
 		TraceSink: func(r trace.Record) { _ = w.Append(r) },
-	})
+	}).Run()
 	if err := w.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
@@ -29,6 +29,11 @@ func recordRun(t *testing.T, cfg config.GPUConfig) (Result, []trace.Record) {
 		t.Fatalf("decode: %v", err)
 	}
 	return r, recs
+}
+
+// replayOne replays an anonymous record stream into one configuration.
+func replayOne(cfg config.GPUConfig, recs []trace.Record) Result {
+	return ReplayMany(&trace.Recording{Records: recs}, []config.GPUConfig{cfg})[0]
 }
 
 func TestRecordingCapturesAllL2Traffic(t *testing.T) {
@@ -49,7 +54,7 @@ func TestReplayReproducesBankBehaviour(t *testing.T) {
 	// the live run's bank statistics and dynamic energy exactly — the
 	// determinism guarantee behind offline trace studies.
 	live, recs := recordRun(t, config.C1())
-	rep := Replay(config.C1(), recs)
+	rep := replayOne(config.C1(), recs)
 	if rep.Bank.Reads != live.Bank.Reads || rep.Bank.Writes != live.Bank.Writes {
 		t.Errorf("traffic differs: replay %d/%d vs live %d/%d",
 			rep.Bank.Reads, rep.Bank.Writes, live.Bank.Reads, live.Bank.Writes)
@@ -70,8 +75,8 @@ func TestReplayAcrossOrganizations(t *testing.T) {
 	// The point of traces: one capture, many organizations. A C1
 	// replay of an SRAM-recorded stream must hit more (4x capacity).
 	_, recs := recordRun(t, config.BaselineSRAM())
-	sram := Replay(config.BaselineSRAM(), recs)
-	c1 := Replay(config.C1(), recs)
+	sram := replayOne(config.BaselineSRAM(), recs)
+	c1 := replayOne(config.C1(), recs)
 	if c1.Bank.HitRate() <= sram.Bank.HitRate() {
 		t.Errorf("C1 replay hit rate (%v) should exceed SRAM's (%v)",
 			c1.Bank.HitRate(), sram.Bank.HitRate())
@@ -79,7 +84,7 @@ func TestReplayAcrossOrganizations(t *testing.T) {
 }
 
 func TestReplayEmptyTrace(t *testing.T) {
-	r := Replay(config.BaselineSRAM(), nil)
+	r := replayOne(config.BaselineSRAM(), nil)
 	if r.Bank.Reads != 0 || r.Bank.Writes != 0 {
 		t.Errorf("empty replay saw traffic: %+v", r.Bank)
 	}

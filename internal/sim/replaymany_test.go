@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -77,7 +78,7 @@ func TestReplayManyBitIdenticalWithWarmup(t *testing.T) {
 	// workload ends before C4's first controller epoch; replays run no
 	// controller.)
 	spec := sweepSpec()
-	cold := RunOne(config.C1(), spec, Options{})
+	cold := New(config.C1(), spec, Options{}).Run()
 	for _, budget := range []uint64{cold.Instructions / 2, 1 << 40} {
 		opts := Options{WarmupInstructions: budget}
 		for _, cfg := range []config.GPUConfig{config.C1(), config.C2L3(), config.C4()} {
@@ -109,7 +110,7 @@ func TestReplayManyAppBitIdentical(t *testing.T) {
 		app.Kernels[i].WarpsPerSM = 6
 	}
 	cfg := config.C1()
-	live, rec := RecordApp(cfg, app, Options{})
+	live, rec, _ := RecordAppContext(context.Background(), cfg, app, Options{})
 	if len(rec.Phases) != len(app.Kernels) {
 		t.Fatalf("recorded %d phases for %d kernels", len(rec.Phases), len(app.Kernels))
 	}
@@ -121,16 +122,16 @@ func TestReplayManyAppBitIdentical(t *testing.T) {
 
 func TestReplayManyMatchesIndependentReplays(t *testing.T) {
 	// The fan-out must be observationally equivalent to K separate
-	// sim.Replay calls over the same stream — sharing one pass is a
+	// single-configuration replays of the same stream — sharing one pass is a
 	// performance trick, never a semantic one.
 	_, recs := recordRun(t, config.BaselineSRAM())
 	rec := &trace.Recording{Records: recs}
 	cfgs := sweepConfigs()
 	many := ReplayMany(rec, cfgs)
 	for i, cfg := range cfgs {
-		solo := Replay(cfg, recs)
+		solo := ReplayMany(rec, []config.GPUConfig{cfg})[0]
 		if got, want := bankSide(t, many[i].Dump()), bankSide(t, solo.Dump()); got != want {
-			t.Errorf("%s: ReplayMany differs from Replay\n got %s\nwant %s", cfg.Name, got, want)
+			t.Errorf("%s: ReplayMany differs from a solo replay\n got %s\nwant %s", cfg.Name, got, want)
 		}
 	}
 }
@@ -151,21 +152,12 @@ func TestReplayManyAnonymousAndEmpty(t *testing.T) {
 
 func TestReplayManyRejectsMalformedRecording(t *testing.T) {
 	outOfOrder := []trace.Record{{Cycle: 10}, {Cycle: 5}}
-	for name, replay := range map[string]func(){
-		"ReplayMany": func() {
-			ReplayMany(&trace.Recording{Records: outOfOrder}, []config.GPUConfig{config.C1()})
-		},
-		"Replay": func() { Replay(config.C1(), outOfOrder) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: malformed recording did not panic", name)
-				}
-			}()
-			replay()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("malformed recording did not panic")
+		}
+	}()
+	ReplayMany(&trace.Recording{Records: outOfOrder}, []config.GPUConfig{config.C1()})
 }
 
 func TestConcurrentReplaysShareOneRecording(t *testing.T) {

@@ -83,7 +83,6 @@ type Simulator struct {
 	hier     config.HierarchySpec
 	mcs      []*dram.Controller
 	reqNet   *interconnect.Network
-	reqBfly  *interconnect.Butterfly // non-nil when cfg.DetailedNoC
 	replyNet *interconnect.Network
 
 	lineMask  uint64
@@ -103,7 +102,7 @@ type Simulator struct {
 	// Recording hooks (see record.go): onWarmupReset observes the
 	// warmup stats reset, onKernelLaunch each kernel launch of an
 	// application run. Observation only — neither may mutate simulator
-	// state; both are nil outside Record/RecordApp.
+	// state; both are nil outside RecordContext/RecordAppContext.
 	onWarmupReset  func(now int64)
 	onKernelLaunch func(name string, now int64)
 
@@ -141,9 +140,6 @@ func New(cfg config.GPUConfig, spec workloads.Spec, opts Options) *Simulator {
 	}
 	s.lineShift = uint(bits.TrailingZeros(uint(cfg.LineBytes)))
 	s.router = newBankRouter(cfg.NumBanks)
-	if cfg.DetailedNoC {
-		s.reqBfly = interconnect.NewButterfly(cfg.NumSMs, cfg.NumBanks, cfg.NoCStageCycles)
-	}
 	hier, err := cfg.Hierarchy()
 	if err != nil {
 		panic(err)
@@ -214,12 +210,7 @@ func (s *Simulator) Access(now int64, smID int, addr uint64, write bool) int64 {
 	line := addr >> s.lineShift
 	bank, q := s.router.route(line)
 	local := q << s.lineShift
-	var arrive int64
-	if s.reqBfly != nil {
-		arrive = s.reqBfly.Deliver(now, smID, bank)
-	} else {
-		arrive = s.reqNet.Deliver(now, bank)
-	}
+	arrive := s.reqNet.Deliver(now, bank)
 	done, _ := s.banks[bank].Access(arrive, local, write)
 	reply := s.replyNet.DeliverUncontended(done, smID)
 	// Observability: one slab increment and one bucket scan; against a
@@ -850,30 +841,6 @@ func mergeBankStats(dst, src *core.BankStats) {
 	}
 }
 
-// RunOne is the convenience entry point: build and run in one call.
-func RunOne(cfg config.GPUConfig, spec workloads.Spec, opts Options) Result {
-	return New(cfg, spec, opts).Run()
-}
-
-// RunOneContext is RunOne with cancellation: the run stops at the next
-// periodic cancellation check once ctx is done, returning the partial
-// Result alongside ctx's error. A run that completes before ctx is
-// cancelled returns a nil error.
-func RunOneContext(ctx context.Context, cfg config.GPUConfig, spec workloads.Spec, opts Options) (Result, error) {
-	return New(cfg, spec, opts).RunContext(ctx)
-}
-
-// Replay drives a recorded L2 access stream through freshly built banks
-// of the given configuration, reproducing the routing and timing the
-// live simulator would apply. It enables offline cache studies: capture
-// one trace, evaluate any bank organization against it. The returned
-// Result carries bank statistics and power; IPC fields are zero (no SMs
-// run during replay). It is ReplayMany of an anonymous recording, so
-// records must be in non-decreasing cycle order.
-func Replay(cfg config.GPUConfig, records []trace.Record) Result {
-	return ReplayMany(&trace.Recording{Records: records}, []config.GPUConfig{cfg})[0]
-}
-
 // newReplaySimulator builds a Simulator whose memory system is live but
 // whose SM side is a stub: replays drive Access directly from a record
 // stream, so the workload spec only has to be valid, not meaningful.
@@ -939,7 +906,7 @@ func RunAppContext(ctx context.Context, cfg config.GPUConfig, app workloads.App,
 
 // runAppContext is the shared application driver; setup, when non-nil,
 // configures the freshly built Simulator before the first kernel
-// launches (RecordApp hangs its recording hooks there).
+// launches (RecordAppContext hangs its recording hooks there).
 func runAppContext(ctx context.Context, cfg config.GPUConfig, app workloads.App, opts Options, setup func(*Simulator)) (AppResult, error) {
 	if len(app.Kernels) == 0 {
 		panic("sim: application has no kernels")

@@ -21,7 +21,7 @@ func tinySpec(t *testing.T, name string) workloads.Spec {
 }
 
 func TestRunCompletes(t *testing.T) {
-	r := RunOne(config.BaselineSRAM(), tinySpec(t, "hotspot"), Options{MaxCycles: 5_000_000})
+	r := New(config.BaselineSRAM(), tinySpec(t, "hotspot"), Options{MaxCycles: 5_000_000}).Run()
 	if r.Cycles <= 0 || r.Cycles >= 5_000_000 {
 		t.Fatalf("cycles = %d, want a completed run", r.Cycles)
 	}
@@ -36,7 +36,7 @@ func TestRunCompletes(t *testing.T) {
 func TestAllWorkExecuted(t *testing.T) {
 	spec := tinySpec(t, "hotspot")
 	cfg := config.BaselineSRAM()
-	r := RunOne(cfg, spec, Options{})
+	r := New(cfg, spec, Options{}).Run()
 	// Total instructions = SMs * jobs * instructions per warp exactly
 	// (the generators are fixed-length).
 	want := uint64(cfg.NumSMs) * uint64(spec.WarpsPerSM) * uint64(spec.InstrPerWarp)
@@ -47,8 +47,8 @@ func TestAllWorkExecuted(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	spec := tinySpec(t, "bfs")
-	a := RunOne(config.C1(), spec, Options{})
-	b := RunOne(config.C1(), spec, Options{})
+	a := New(config.C1(), spec, Options{}).Run()
+	b := New(config.C1(), spec, Options{}).Run()
 	if a.Cycles != b.Cycles {
 		t.Errorf("cycles differ: %d vs %d", a.Cycles, b.Cycles)
 	}
@@ -65,14 +65,14 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestMaxCyclesAborts(t *testing.T) {
 	spec := tinySpec(t, "bfs")
-	r := RunOne(config.BaselineSRAM(), spec, Options{MaxCycles: 1000})
+	r := New(config.BaselineSRAM(), spec, Options{MaxCycles: 1000}).Run()
 	if r.Cycles > 1000 {
 		t.Errorf("run exceeded MaxCycles: %d", r.Cycles)
 	}
 }
 
 func TestL2TrafficFlows(t *testing.T) {
-	r := RunOne(config.BaselineSRAM(), tinySpec(t, "bfs"), Options{})
+	r := New(config.BaselineSRAM(), tinySpec(t, "bfs"), Options{}).Run()
 	if r.Bank.Reads == 0 || r.Bank.Writes == 0 {
 		t.Errorf("no L2 traffic: %+v", r.Bank)
 	}
@@ -88,7 +88,7 @@ func TestL2TrafficFlows(t *testing.T) {
 }
 
 func TestTwoPartMachineryEngages(t *testing.T) {
-	r := RunOne(config.C1(), tinySpec(t, "bfs"), Options{})
+	r := New(config.C1(), tinySpec(t, "bfs"), Options{}).Run()
 	if r.Bank.LRWriteHits+r.Bank.LRWriteFills == 0 {
 		t.Error("LR part never served a write")
 	}
@@ -101,7 +101,7 @@ func TestTwoPartMachineryEngages(t *testing.T) {
 }
 
 func TestPowerAccounting(t *testing.T) {
-	r := RunOne(config.C1(), tinySpec(t, "stencil"), Options{})
+	r := New(config.C1(), tinySpec(t, "stencil"), Options{}).Run()
 	if r.DynamicEnergyJ <= 0 || r.DynamicPowerW <= 0 {
 		t.Errorf("dynamic power missing: %+v", r)
 	}
@@ -118,8 +118,8 @@ func TestPowerAccounting(t *testing.T) {
 
 func TestSRAMLeaksMoreThanSTT(t *testing.T) {
 	spec := tinySpec(t, "hotspot")
-	sram := RunOne(config.BaselineSRAM(), spec, Options{})
-	c2 := RunOne(config.C2(), spec, Options{})
+	sram := New(config.BaselineSRAM(), spec, Options{}).Run()
+	c2 := New(config.C2(), spec, Options{}).Run()
 	if c2.LeakagePowerW >= sram.LeakagePowerW {
 		t.Errorf("C2 leakage (%g) should be far below SRAM (%g)",
 			c2.LeakagePowerW, sram.LeakagePowerW)
@@ -142,8 +142,8 @@ func TestCacheBoundGainsFromC1(t *testing.T) {
 	spec, _ := workloads.ByName("bfs")
 	spec = spec.Scale(0.15)
 	spec.WarpsPerSM = 16
-	sram := RunOne(config.BaselineSRAM(), spec, Options{})
-	c1 := RunOne(config.C1(), spec, Options{})
+	sram := New(config.BaselineSRAM(), spec, Options{}).Run()
+	c1 := New(config.C1(), spec, Options{}).Run()
 	if c1.IPC <= sram.IPC {
 		t.Errorf("C1 IPC (%v) should beat SRAM (%v) on bfs", c1.IPC, sram.IPC)
 	}
@@ -189,7 +189,7 @@ func TestAllConfigsRunAllRegionsBriefly(t *testing.T) {
 	for _, bench := range []string{"hotspot", "lud", "kmeans", "bfs"} {
 		spec := tinySpec(t, bench)
 		for _, cfg := range config.All() {
-			r := RunOne(cfg, spec, Options{MaxCycles: 20_000_000})
+			r := New(cfg, spec, Options{MaxCycles: 20_000_000}).Run()
 			if r.Instructions == 0 {
 				t.Errorf("%s/%s executed nothing", cfg.Name, bench)
 			}
@@ -242,7 +242,7 @@ func TestRunAppProducerConsumerReuse(t *testing.T) {
 	// the pipeline against a standalone cold run.
 	ar := RunApp(config.C1(), app, Options{})
 	consumer := ar.Kernels[1]
-	cold := RunOne(config.C1(), app.Kernels[1], Options{})
+	cold := New(config.C1(), app.Kernels[1], Options{}).Run()
 	if consumer.L2HitRate <= cold.Bank.HitRate() {
 		t.Errorf("pipelined consumer hit rate (%v) should exceed cold standalone (%v)",
 			consumer.L2HitRate, cold.Bank.HitRate())
@@ -278,30 +278,10 @@ func TestAppsWellFormed(t *testing.T) {
 	}
 }
 
-func TestDetailedNoCRuns(t *testing.T) {
-	spec := tinySpec(t, "bfs")
-	cfg := config.C1()
-	cfg.DetailedNoC = true
-	r := RunOne(cfg, spec, Options{})
-	simple := RunOne(config.C1(), spec, Options{})
-	if r.Instructions != simple.Instructions {
-		t.Errorf("detailed NoC executed %d instructions, simple %d", r.Instructions, simple.Instructions)
-	}
-	// The two models agree at this load level to within a few percent:
-	// the butterfly adds intermediate-link contention but its outputs
-	// accept two transfers per cycle (two final-stage input links),
-	// so neither strictly dominates.
-	ratio := float64(r.Cycles) / float64(simple.Cycles)
-	if ratio < 0.9 || ratio > 1.15 {
-		t.Errorf("detailed NoC cycles diverge from port model: %d vs %d (%.2fx)",
-			r.Cycles, simple.Cycles, ratio)
-	}
-}
-
 func TestWarmupExcludesColdStart(t *testing.T) {
 	spec := tinySpec(t, "hotspot")
-	cold := RunOne(config.C1(), spec, Options{})
-	warm := RunOne(config.C1(), spec, Options{WarmupInstructions: cold.Instructions / 2})
+	cold := New(config.C1(), spec, Options{}).Run()
+	warm := New(config.C1(), spec, Options{WarmupInstructions: cold.Instructions / 2}).Run()
 	// Warm-window counters cover only the measured half.
 	if warm.Instructions >= cold.Instructions {
 		t.Errorf("warm instructions (%d) should be below total (%d)", warm.Instructions, cold.Instructions)
@@ -318,7 +298,7 @@ func TestWarmupExcludesColdStart(t *testing.T) {
 
 func TestWarmupBeyondWorkload(t *testing.T) {
 	spec := tinySpec(t, "hotspot")
-	r := RunOne(config.C1(), spec, Options{WarmupInstructions: 1 << 40})
+	r := New(config.C1(), spec, Options{WarmupInstructions: 1 << 40}).Run()
 	// Warmup consumed everything: nothing measured, but no panic/hang.
 	if r.Instructions != 0 {
 		t.Errorf("expected empty measurement window, got %d instructions", r.Instructions)

@@ -1,7 +1,7 @@
 // Package trace records and replays L2 access streams in a compact
 // binary format (varint-delta encoded). Recorded traces decouple cache
 // studies from the timing simulator: a trace captured once can be
-// replayed into any bank organization (see sim.Replay), shared, or
+// replayed into any bank organization (see sim.ReplayMany), shared, or
 // inspected offline — the GPGPU-Sim workflow the paper's
 // characterization section depends on.
 package trace

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestGeneratorRecordingByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, rec := sim.RecordApp(cfg, app, sim.Options{})
+		res, rec, _ := sim.RecordAppContext(context.Background(), cfg, app, sim.Options{})
 		var recBuf bytes.Buffer
 		if err := trace.WriteRecording(&recBuf, rec); err != nil {
 			t.Fatal(err)
