@@ -18,21 +18,18 @@ type Stats struct {
 	QueueCycles uint64 // total cycles transfers spent queued at ports
 }
 
-// Network is a unidirectional butterfly from Inputs sources to Outputs
-// sinks. Use one instance per direction (request and reply), as GPUs do.
+// Network is a unidirectional butterfly from its input ports to its
+// output ports. Use one instance per direction (request and reply), as
+// GPUs do.
 type Network struct {
-	Inputs  int
-	Outputs int
-	// PerStageCycles is the router pipeline depth per butterfly stage.
-	PerStageCycles int64
-
-	stages   int
+	latency  int64   // unloaded traversal: stages × per-stage router depth
 	nextFree []int64 // earliest cycle each output port is free
 	Stats    Stats
 }
 
 // New builds a butterfly network. Ports must be positive. The stage count
-// is ceil(log2(max(inputs, outputs))), minimum 1.
+// is ceil(log2(max(inputs, outputs))), minimum 1, and each stage costs
+// perStageCycles of router pipeline.
 func New(inputs, outputs int, perStageCycles int64) *Network {
 	if inputs <= 0 || outputs <= 0 || perStageCycles <= 0 {
 		panic("interconnect: non-positive parameters")
@@ -46,29 +43,26 @@ func New(inputs, outputs int, perStageCycles int64) *Network {
 		stages = 1
 	}
 	return &Network{
-		Inputs:         inputs,
-		Outputs:        outputs,
-		PerStageCycles: perStageCycles,
-		stages:         stages,
-		nextFree:       make([]int64, outputs),
+		latency:  int64(stages) * perStageCycles,
+		nextFree: make([]int64, outputs),
 	}
 }
 
-// Stages returns the number of butterfly stages.
-func (n *Network) Stages() int { return n.stages }
-
 // BaseLatency returns the unloaded traversal latency in cycles.
-func (n *Network) BaseLatency() int64 {
-	return int64(n.stages) * n.PerStageCycles
+func (n *Network) BaseLatency() int64 { return n.latency }
+
+// checkOutput panics on an output port outside the network.
+func (n *Network) checkOutput(output int) {
+	if output < 0 || output >= len(n.nextFree) {
+		panic(fmt.Sprintf("interconnect: output %d out of range [0,%d)", output, len(n.nextFree)))
+	}
 }
 
 // Deliver sends one transfer entering the network at cycle now toward the
 // given output port and returns its arrival cycle, accounting for port
 // serialization (one transfer per port per cycle).
 func (n *Network) Deliver(now int64, output int) int64 {
-	if output < 0 || output >= n.Outputs {
-		panic(fmt.Sprintf("interconnect: output %d out of range [0,%d)", output, n.Outputs))
-	}
+	n.checkOutput(output)
 	arrival := now + n.BaseLatency()
 	if nf := n.nextFree[output]; arrival < nf {
 		n.Stats.QueueCycles += uint64(nf - arrival)
@@ -88,9 +82,7 @@ func (n *Network) Deliver(now int64, output int) int64 {
 // flight at different times never contend for the same cycle slot just
 // because the simulator observed them out of order.
 func (n *Network) DeliverUncontended(now int64, output int) int64 {
-	if output < 0 || output >= n.Outputs {
-		panic(fmt.Sprintf("interconnect: output %d out of range [0,%d)", output, n.Outputs))
-	}
+	n.checkOutput(output)
 	n.Stats.Transfers++
 	return now + n.BaseLatency()
 }

@@ -7,7 +7,7 @@ import (
 
 func TestStages(t *testing.T) {
 	tests := []struct {
-		in, out, want int
+		in, out, stages int
 	}{
 		{15, 6, 4}, // GTX480-like: 15 clusters, 6 banks -> ceil(log2(15)) = 4
 		{16, 16, 4},
@@ -17,8 +17,8 @@ func TestStages(t *testing.T) {
 	}
 	for _, tt := range tests {
 		n := New(tt.in, tt.out, 2)
-		if got := n.Stages(); got != tt.want {
-			t.Errorf("Stages(%dx%d) = %d, want %d", tt.in, tt.out, got, tt.want)
+		if got, want := n.BaseLatency(), int64(2*tt.stages); got != want {
+			t.Errorf("BaseLatency(%dx%d) = %d, want %d (%d stages)", tt.in, tt.out, got, want, tt.stages)
 		}
 	}
 }

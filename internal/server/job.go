@@ -11,6 +11,7 @@ import (
 	"sttllc/internal/config"
 	"sttllc/internal/metrics"
 	"sttllc/internal/sim"
+	"sttllc/internal/trace"
 	"sttllc/internal/workloads"
 )
 
@@ -178,44 +179,6 @@ func (r SimulationRequest) benchSpec() workloads.Spec {
 	return spec
 }
 
-// runSimulation dispatches one job: trace jobs replay an uploaded
-// recording, replay jobs ride the shared recording cache, and
-// everything else — catalog workloads and generated specs alike — runs
-// the execution-driven path.
-func (s *Server) runSimulation(ctx context.Context, req SimulationRequest) (*sim.StatsDump, error) {
-	switch {
-	case req.Trace != "":
-		return s.runTrace(req)
-	case req.Replay:
-		return s.runReplay(ctx, req)
-	case req.Gen != nil:
-		s.genJobs.Add(1)
-	}
-	return runSimulation(ctx, req)
-}
-
-// runReplay serves a replay job: fetch (or record) the workload's
-// reference stream under the canonical baseline configuration, then
-// replay it into the requested one. The recording is keyed by workload
-// content, so N configurations of the same benchmark share one full
-// simulation; the replays themselves are cheap bank passes.
-func (s *Server) runReplay(ctx context.Context, req SimulationRequest) (*sim.StatsDump, error) {
-	cfg, err := req.gpuConfig()
-	if err != nil {
-		// validate() runs before enqueue; reaching this is a server bug.
-		panic("server: job with invalid config: " + err.Error())
-	}
-	opts := sim.Options{MaxCycles: req.MaxCycles, WarmupInstructions: req.Warmup}
-	_, rec, _, err := s.recordings.Get(ctx, config.BaselineSRAM(), req.benchSpec(), opts)
-	if err != nil {
-		return nil, err
-	}
-	r := sim.ReplayMany(rec, []config.GPUConfig{cfg})[0]
-	s.replayJobs.Add(1)
-	d := r.Dump()
-	return &d, nil
-}
-
 // resolveApp materializes a request's application: the named catalog
 // entry, or a fresh deterministic draw from the inline generator spec.
 // Both sources were validated before enqueue, so failure here is a
@@ -235,22 +198,50 @@ func (r SimulationRequest) resolveApp() workloads.App {
 	return app
 }
 
-// runSimulation executes one request exactly the way cmd/sttsim does —
-// same spec scaling, same option wiring, an enabled metrics registry —
-// so the resulting StatsDump is byte-identical to `sttsim -stats-json`
-// for the same parameters. Cancellation stops the run at the
-// simulator's next periodic check; the partial result is discarded
-// (partial dumps must never enter the cache).
-func runSimulation(ctx context.Context, req SimulationRequest) (*sim.StatsDump, error) {
+// runSimulation executes one job; it is the server's runFn. Trace and
+// replay jobs replay a recording into the requested configuration: the
+// uploaded trace, exactly the pass `stttrace -replay` makes, or the
+// benchmark's reference stream, recorded once under the canonical
+// baseline configuration and shared through s.recordings, so N
+// configurations of one workload cost one full simulation plus N cheap
+// bank passes. Everything else — catalog workloads and generated specs
+// alike — runs exactly the way cmd/sttsim does: same spec scaling, same
+// option wiring, an enabled metrics registry, so the dump is
+// byte-identical to `sttsim -stats-json` for the same parameters.
+// Cancellation stops a run at the simulator's next periodic check; the
+// partial result is discarded (partial dumps must never enter the
+// cache).
+func (s *Server) runSimulation(ctx context.Context, req SimulationRequest) (*sim.StatsDump, error) {
 	cfg, err := req.gpuConfig()
 	if err != nil {
 		// validate() runs before enqueue; reaching this is a server bug.
 		panic("server: job with invalid config: " + err.Error())
 	}
+	var rec *trace.Recording
+	switch {
+	case req.Trace != "":
+		// Registered at admission; the registry never deletes.
+		if rec = s.getTrace(req.Trace); rec == nil {
+			return nil, fmt.Errorf("unknown trace %q", req.Trace)
+		}
+		s.traceJobs.Add(1)
+	case req.Replay:
+		opts := sim.Options{MaxCycles: req.MaxCycles, WarmupInstructions: req.Warmup}
+		if _, rec, _, err = s.recordings.Get(ctx, config.BaselineSRAM(), req.benchSpec(), opts); err != nil {
+			return nil, err
+		}
+		s.replayJobs.Add(1)
+	}
+	if rec != nil {
+		d := sim.ReplayMany(rec, []config.GPUConfig{cfg})[0].Dump()
+		return &d, nil
+	}
 	reg := metrics.NewRegistry(true)
 	opts := sim.Options{MaxCycles: req.MaxCycles, Metrics: reg}
-
 	if req.App != "" || req.Gen != nil {
+		if req.Gen != nil {
+			s.genJobs.Add(1)
+		}
 		app := req.resolveApp()
 		for i := range app.Kernels {
 			if req.Scale > 0 && req.Scale != 1.0 {

@@ -9,14 +9,19 @@
 //	GET    /v1/simulations/{id}   poll one job (?wait=true blocks)
 //	DELETE /v1/simulations/{id}   cancel a queued or running job
 //	GET    /v1/simulations        list known jobs
+//	POST   /v1/sweeps             submit a configuration × workload grid (see sweep.go)
+//	GET    /v1/sweeps[/{id}]      list sweeps / one sweep's status (?wait=true blocks)
+//	GET    /v1/sweeps/{id}/events NDJSON progress stream (see stream.go)
+//	DELETE /v1/sweeps/{id}        cancel a sweep's outstanding jobs
 //	POST   /v1/traces             upload an external trace (see traces.go)
 //	GET    /v1/traces[/{id}]      list / inspect uploaded traces
 //	GET    /metrics               Prometheus exposition
 //	GET    /healthz, /readyz      liveness / readiness (503 while draining)
 //
-// Results are the same sttllc-stats/v1 StatsDump that `sttsim
-// -stats-json` emits, byte for byte: the service is a caching,
-// cancellable front end over the exact CLI semantics.
+// Results are the same StatsDump that `sttsim -stats-json` emits, byte
+// for byte — sttllc-stats/v1, or v2 for multi-tier (L3) hierarchies:
+// the service is a caching, cancellable front end over the exact CLI
+// semantics.
 package server
 
 import (
@@ -29,6 +34,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -438,78 +444,132 @@ func wantWait(r *http.Request) bool {
 	return false
 }
 
-// admission is admitLocked's verdict on one canonical request.
-type admission int
+// cell is one canonical request on its way through admitLocked.
+// Resolution pins the cell's answer in job (an in-flight job to join or
+// a done job from the memory LRU) or res (a result read and verified
+// from the disk store); a cell with neither needs a queue slot. After
+// commit, job is the cell's job and the flags say how it was answered.
+type cell struct {
+	req SimulationRequest
+	id  string // req.Key()
 
-const (
-	admitQueued     admission = iota // fresh job enqueued
-	admitJoined                      // identical job already in flight
-	admitCachedMem                   // answered from the in-memory LRU
-	admitCachedDisk                  // answered from the disk store
-	admitDraining                    // intake closed
-	admitQueueFull                   // no queue slot
-)
+	job *job
+	res *result
 
-// admitLocked resolves one canonical request to a job: join the
-// identical in-flight run, answer from the memory LRU or the disk
-// store, or enqueue a fresh job. hold pins an admitted or joined job
-// against client-disconnect cancellation (async submissions and sweep
-// children). The caller holds s.mu; the returned job is nil only for
-// admitDraining/admitQueueFull. This is the single admission path —
-// POST /v1/simulations and sweep expansion cannot disagree about
-// dedup, caching, or admission control.
-func (s *Server) admitLocked(req SimulationRequest, id string, hold bool) (*job, admission) {
-	if j := s.inflight[id]; j != nil {
-		// Singleflight: an identical request is already queued or
-		// running — join it instead of simulating twice.
-		s.dedupJoins.Add(1)
-		if hold {
-			j.asyncHold = true
+	cached bool // answered from the memory LRU or the disk store
+	queued bool // enqueued as a fresh job
+}
+
+func newCell(req SimulationRequest) cell { return cell{req: req, id: req.Key()} }
+
+// refusal is why admitLocked turned a whole submission away. Handlers
+// word their own 429; needed and free size it.
+type refusal struct {
+	code         int
+	retryAfter   int // seconds; 0 = no Retry-After header
+	msg          string
+	needed, free int
+}
+
+var refuseDraining = &refusal{code: http.StatusServiceUnavailable, retryAfter: 5, msg: "server is draining"}
+
+func (rf *refusal) write(w http.ResponseWriter) {
+	if rf.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(rf.retryAfter))
+	}
+	writeError(w, rf.code, "%s", rf.msg)
+}
+
+// admitLocked is the one admission path: POST /v1/simulations admits
+// one cell, POST /v1/sweeps its whole grid, all or nothing. It resolves
+// every cell to its pinned answer, counts the cells that need a queue
+// slot, and refuses the submission if that count cannot be served —
+// while draining, or beyond the free queue slots. Cells answered by a
+// join or a cache never need a slot, so a draining server still serves
+// them. Only then does it commit: join, adopt a cached result, or
+// enqueue. hold pins joined and enqueued jobs against client-disconnect
+// cancellation (async submissions and sweep cells). The caller holds
+// s.mu throughout, so the commit cannot disagree with the count: a
+// pinned job or result cannot vanish, workers finalize under the same
+// mutex, and only this function enqueues — workers can only drain the
+// queue meanwhile, so the free count cannot shrink.
+func (s *Server) admitLocked(cells []cell, hold bool) *refusal {
+	for _, c := range cells {
+		// Registry membership is server state, so it is checked here
+		// rather than in the static validator. Traces are never deleted:
+		// a trace present now is present when the job runs.
+		if c.req.Trace != "" && s.traces[c.req.Trace] == nil {
+			return &refusal{code: http.StatusNotFound, msg: fmt.Sprintf("unknown trace %q", c.req.Trace)}
 		}
-		return j, admitJoined
 	}
-	if j := s.finished.get(id); j != nil && j.state == jobDone {
-		// Content-addressed cache hit: same canonical request, answer
-		// from the stored dump without running anything.
-		s.cacheHits.Add(1)
-		return j, admitCachedMem
-	}
-	if res := s.store.get(id); res != nil {
-		// Disk-store hit: a completed dump from before the last restart
-		// (or evicted from the LRU since). Synthesize a terminal job so
-		// the LRU re-adopts it and pollers can fetch it by ID.
-		now := s.now()
-		j := &job{
-			id: id, req: req, state: jobDone, res: *res,
-			done: make(chan struct{}), submitted: now, started: now, finished: now,
+	needed := 0
+	for i := range cells {
+		c := &cells[i]
+		if c.job = s.inflight[c.id]; c.job != nil {
+			continue
 		}
-		close(j.done)
-		s.finished.put(j)
-		return j, admitCachedDisk
+		if j := s.finished.get(c.id); j != nil && j.state == jobDone {
+			c.job = j
+			continue
+		}
+		if c.res = s.store.get(c.id); c.res == nil {
+			needed++
+		}
 	}
-	if s.drainingFlag.Load() {
-		return nil, admitDraining
+	if needed > 0 && s.drainingFlag.Load() {
+		return refuseDraining
 	}
-	j := &job{
-		id:        id,
-		req:       req,
-		state:     jobQueued,
-		done:      make(chan struct{}),
-		asyncHold: hold,
-		submitted: s.now(),
-	}
-	select {
-	case s.queue <- j:
-		s.inflight[id] = j
-		s.submitted.Add(1)
-		s.cacheMisses.Add(1)
-		return j, admitQueued
-	default:
-		// Admission control: the queue is full. Reject now rather than
-		// letting latency grow without bound.
+	if free := cap(s.queue) - len(s.queue); needed > free {
+		// Admission control: reject now rather than letting latency
+		// grow without bound.
 		s.rejected.Add(1)
-		return nil, admitQueueFull
+		return &refusal{code: http.StatusTooManyRequests, needed: needed, free: free}
 	}
+	for i := range cells {
+		c := &cells[i]
+		switch {
+		case c.job != nil && !c.job.terminal():
+			// Singleflight: an identical request is already queued or
+			// running — join it instead of simulating twice.
+			s.dedupJoins.Add(1)
+			if hold {
+				c.job.asyncHold = true
+			}
+		case c.job != nil:
+			// Content-addressed cache hit. Re-put so pollers can fetch it
+			// by ID even if an earlier cell's store adoption evicted it.
+			s.cacheHits.Add(1)
+			s.finished.put(c.job)
+			c.cached = true
+		case c.res != nil:
+			// Disk-store hit: a completed dump from before the last
+			// restart, or evicted from the LRU since. The LRU adopts it as
+			// a terminal job so pollers can fetch it by ID.
+			now := s.now()
+			c.job = &job{
+				id: c.id, req: c.req, state: jobDone, res: *c.res,
+				done: make(chan struct{}), submitted: now, started: now, finished: now,
+			}
+			close(c.job.done)
+			s.finished.put(c.job)
+			c.cached = true
+		default:
+			c.job = &job{
+				id:        c.id,
+				req:       c.req,
+				state:     jobQueued,
+				done:      make(chan struct{}),
+				asyncHold: hold,
+				submitted: s.now(),
+			}
+			s.queue <- c.job // cannot block: the free-slot check above reserved it
+			s.inflight[c.id] = c.job
+			s.submitted.Add(1)
+			s.cacheMisses.Add(1)
+			c.queued = true
+		}
+	}
+	return nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -526,61 +586,40 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req = req.normalize()
-	if req.Trace != "" {
-		if s.getTrace(req.Trace) == nil {
-			writeError(w, http.StatusNotFound, "unknown trace %q", req.Trace)
-			return
-		}
-		// Uploaded trace bytes live on this node, not on the ring: a
-		// forwarded trace job would fail on a peer that never saw the
-		// upload, so trace jobs always execute locally.
-		req.noForward = true
-	}
-	if r.Header.Get(forwardedHeader) != "" {
-		// A peer already routed this job here; execute locally no matter
-		// what the ring says, so forwarding can never loop.
-		req.noForward = true
-	}
+	// A peer already routed this job here; execute locally no matter
+	// what the ring says, so forwarding can never loop.
+	req.noForward = r.Header.Get(forwardedHeader) != ""
 	wait := wantWait(r)
-	id := req.Key()
+	cells := []cell{newCell(req)}
 
 	s.mu.Lock()
-	j, adm := s.admitLocked(req, id, !wait)
-	switch adm {
-	case admitDraining:
+	if rf := s.admitLocked(cells, !wait); rf != nil {
 		s.mu.Unlock()
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	case admitQueueFull:
-		s.mu.Unlock()
-		// The hint scales with the backlog a retrying client is behind.
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", 1+len(s.queue)/s.cfg.Workers))
-		writeError(w, http.StatusTooManyRequests, "job queue full (%d queued)", s.cfg.QueueDepth)
-		return
-	case admitCachedMem, admitCachedDisk:
-		st := statusLocked(j, true)
-		s.mu.Unlock()
-		writeStatus(w, http.StatusOK, st)
-		return
-	case admitJoined:
-		if !wait {
-			st := statusLocked(j, false)
-			s.mu.Unlock()
-			writeStatus(w, http.StatusOK, st)
-			return
+		if rf.code == http.StatusTooManyRequests {
+			// The hint scales with the backlog a retrying client is behind.
+			rf.retryAfter = 1 + len(s.queue)/s.cfg.Workers
+			rf.msg = fmt.Sprintf("job queue full (%d queued)", s.cfg.QueueDepth)
 		}
-		s.waitLocked(w, r, j)
+		rf.write(w)
 		return
 	}
-	// admitQueued
-	if !wait {
-		st := statusLocked(j, false)
-		s.mu.Unlock()
-		writeStatus(w, http.StatusAccepted, st)
+	c := cells[0]
+	if wait && !c.cached {
+		s.waitLocked(w, r, c.job)
 		return
 	}
-	s.waitLocked(w, r, j)
+	st := statusLocked(c.job, c.cached)
+	s.mu.Unlock()
+	writeStatus(w, admittedCode(c.queued), st)
+}
+
+// admittedCode is the status of an admitted submission: 202 when it
+// enqueued work, 200 when joins and caches answered all of it.
+func admittedCode(queued bool) int {
+	if queued {
+		return http.StatusAccepted
+	}
+	return http.StatusOK
 }
 
 // waitLocked blocks until j reaches a terminal state or the client
@@ -760,7 +799,10 @@ func (s *Server) runJob(j *job) {
 	s.running.Add(1)
 	var res result
 	var err error
-	if s.ring != nil && !j.req.noForward && !s.ring.local(j.id) {
+	// Uploaded trace bytes live on this node, not on the ring: a
+	// forwarded trace job would fail on a peer that never saw the
+	// upload, so trace jobs always execute locally.
+	if s.ring != nil && !j.req.noForward && j.req.Trace == "" && !s.ring.local(j.id) {
 		// The ring placed this job on a peer: its cache and store are
 		// the authority for this arc of the ID space. A dead or draining
 		// owner is not a failure — the job runs here instead.

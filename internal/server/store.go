@@ -401,20 +401,6 @@ func (s *diskStore) quarantineFile(path string) {
 	s.quarantined.Add(1)
 }
 
-// has reports (without IO) whether id is indexed. A true answer can
-// still miss at get time if the record was evicted or fails
-// verification in between; callers treat has as a capacity hint, not a
-// promise.
-func (s *diskStore) has(id string) bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[id]
-	return ok && !s.closed
-}
-
 // get returns the stored result for id, or nil on any kind of miss
 // (absent, evicted, corrupt — corrupt records are quarantined on the
 // way). A hit refreshes recency in memory.

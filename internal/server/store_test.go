@@ -169,7 +169,7 @@ func TestStoreRoundTripAndReopen(t *testing.T) {
 func TestStoreNilIsInert(t *testing.T) {
 	var st *diskStore
 	st.put(storeID(1), storeDump(1))
-	if st.get(storeID(1)) != nil || st.has(storeID(1)) || st.len() != 0 || st.bytes() != 0 || st.close() != nil {
+	if st.get(storeID(1)) != nil || st.len() != 0 || st.bytes() != 0 || st.close() != nil {
 		t.Fatal("nil store not inert")
 	}
 }
@@ -249,7 +249,7 @@ func TestStoreCorruptionAtReadTimeQuarantined(t *testing.T) {
 	if st.quarantined.Load() != 1 {
 		t.Fatalf("quarantined = %d, want 1", st.quarantined.Load())
 	}
-	if st.has(storeID(1)) {
+	if st.len() != 0 {
 		t.Fatal("corrupt entry still indexed")
 	}
 	if q, files := quarantined(t, dir); files != 1 || !bytes.Equal(q, rec) {
@@ -592,7 +592,7 @@ func TestStoreReopenAfterShutdown(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	id := tinyReq("bfs").normalize().Key()
-	if s1.store.get(id) != nil || s1.store.has(id) {
+	if s1.store.get(id) != nil {
 		t.Fatal("closed store still serves")
 	}
 	s1.store.put(storeID(9), storeDump(9)) // dropped, not a panic

@@ -7,16 +7,16 @@
 // can make it, and its per-job dumps are byte-identical to what the
 // same specs return through POST /v1/simulations.
 //
-//	POST   /v1/sweeps              submit a grid (202; 200 if fully cached)
+//	POST   /v1/sweeps              submit a grid (202; 200 if it queued nothing)
 //	GET    /v1/sweeps              list sweeps
 //	GET    /v1/sweeps/{id}         sweep status (?wait=true blocks)
 //	GET    /v1/sweeps/{id}/events  NDJSON progress stream (see stream.go)
 //	DELETE /v1/sweeps/{id}         cancel every outstanding child
 //
-// Admission is all-or-nothing: the expansion counts how many children
-// actually need queue slots (everything else joins, or is answered
-// from a cache) and rejects the whole sweep with 429 when the queue
-// cannot take them, so a half-admitted grid never wedges the fabric.
+// Admission is all-or-nothing and goes through admitLocked, the same
+// path as a single submission: the whole grid is refused (429, or 503
+// while draining) when the children that need queue slots cannot have
+// them, so a half-admitted grid never wedges the fabric.
 package server
 
 import (
@@ -233,8 +233,8 @@ type sweep struct {
 	id    string
 	state sweepState
 	// total is the grid size, fixed at submission — children fills up to
-	// it during the admission loop, so event stamping and the finish
-	// check use total, not len(children).
+	// it as the submit handler records each admitted cell, so event
+	// stamping and the finish check use total, not len(children).
 	total    int
 	children []*sweepChild
 	byJob    map[string]*sweepChild
@@ -338,17 +338,13 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid sweep: %v", err)
 		return
 	}
-	for _, t := range req.Traces {
-		// Registry membership is server state, so it is checked here
-		// rather than in the static validator. Traces are never deleted:
-		// a trace present now is present when the children run.
-		if s.getTrace(t) == nil {
-			writeError(w, http.StatusNotFound, "unknown trace %q", t)
-			return
-		}
-	}
 	id := sweepKey(children)
 	noForward := r.Header.Get(forwardedHeader) != ""
+	cells := make([]cell, len(children))
+	for i, cr := range children {
+		cr.noForward = noForward
+		cells[i] = newCell(cr)
+	}
 
 	s.mu.Lock()
 	if sw := s.sweeps[id]; sw != nil && !sw.terminal() {
@@ -360,170 +356,67 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, st)
 		return
 	}
-	if s.drainingFlag.Load() {
+	if rf := s.admitLocked(cells, true); rf != nil {
 		s.mu.Unlock()
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	// All-or-nothing admission: resolve every child to its answer — the
-	// in-flight job it will join, the terminal job in the memory LRU, or
-	// the verified dump read from the disk store — and count the rest,
-	// which are the cells that need queue slots. Resolution pins the
-	// object, not a hint: this pass used to trust store.has, an
-	// index-only check, so an entry evicted by a concurrently finishing
-	// worker's store write (store IO happens outside s.mu), a
-	// finished-LRU eviction triggered by the admission loop's own puts,
-	// or a file that turned out corrupt at read time could strand a
-	// counted-as-cached cell on the queue path after the free-slot check
-	// had passed, failing it with "queue full during admission". A
-	// pinned *job or dump cannot disappear while s.mu is held; workers
-	// can only drain the queue meanwhile, so the free count cannot
-	// shrink under us either.
-	resolved := make([]resolvedChild, len(children))
-	needed := 0
-	for i, cr := range children {
-		k := cr.Key()
-		if j := s.inflight[k]; j != nil {
-			resolved[i].job = j
-			continue
+		if rf.code == http.StatusTooManyRequests {
+			rf.retryAfter = 1 + rf.needed/s.cfg.Workers
+			rf.msg = fmt.Sprintf("sweep needs %d queue slots, %d free", rf.needed, rf.free)
 		}
-		if j := s.finished.get(k); j != nil && j.state == jobDone {
-			resolved[i].job = j
-			continue
-		}
-		if res := s.store.get(k); res != nil {
-			resolved[i].res = res
-			continue
-		}
-		needed++
-	}
-	if free := cap(s.queue) - len(s.queue); needed > free {
-		s.rejected.Add(1)
-		s.mu.Unlock()
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", 1+needed/s.cfg.Workers))
-		writeError(w, http.StatusTooManyRequests,
-			"sweep needs %d queue slots, %d free", needed, free)
+		rf.write(w)
 		return
 	}
 
 	sw := &sweep{
 		id:        id,
 		state:     sweepRunning,
-		total:     len(children),
-		byJob:     make(map[string]*sweepChild, len(children)),
+		total:     len(cells),
+		byJob:     make(map[string]*sweepChild, len(cells)),
 		notify:    make(chan struct{}),
 		submitted: time.Now(),
 	}
 	s.sweeps[id] = sw
 	s.sweepsSubmitted.Add(1)
-	s.sweepChildrenN.Add(uint64(len(children)))
+	s.sweepChildrenN.Add(uint64(len(cells)))
 	s.appendSweepEventLocked(sw, SweepEvent{Type: evSweepStarted})
-	for ci, cr := range children {
-		k := cr.Key()
-		if noForward || cr.Trace != "" {
-			// Trace children are pinned like direct trace submissions: the
-			// uploaded bytes live on this node, not on the ring.
-			cr.noForward = true
+	queued := false
+	for _, c := range cells {
+		child := &sweepChild{
+			jobID: c.id, config: c.req.Config, bench: c.req.Bench, app: c.req.App, trace: c.req.Trace,
+			state: c.job.state, cached: c.cached,
 		}
-		child := &sweepChild{jobID: k, config: cr.Config, bench: cr.Bench, app: cr.App, trace: cr.Trace}
-		if cr.Gen != nil {
-			child.gen = genName(cr.Gen)
+		if c.req.Gen != nil {
+			child.gen = genName(c.req.Gen)
 		}
 		sw.children = append(sw.children, child)
-		sw.byJob[k] = child
-		j, adm := s.admitResolvedLocked(cr, k, resolved[ci])
-		switch adm {
-		case admitQueueFull:
-			// Defensive only: resolution pinned every cached answer and
-			// the free-slot check ran under this same lock hold, so a
-			// counted cell cannot lose its slot anymore. Fail the cell
-			// rather than wedge the sweep if that invariant ever breaks.
-			child.state = jobFailed
-			child.errMsg = "queue full during admission"
-			sw.failed++
-		case admitCachedMem, admitCachedDisk:
-			child.state = jobDone
-			child.cached = true
-			sw.done++
-			sw.cached++
-		default: // joined or queued: mirror the live job and watch it
-			child.state = j.state
-			child.cached = false
-			if j.terminal() {
-				// Joined a job that went terminal before we got here.
-				sw.recordTerminalLocked(child, j)
-			} else {
-				s.watchJobLocked(k, sw)
-			}
+		sw.byJob[c.id] = child
+		if c.job.terminal() {
+			sw.recordTerminalLocked(child, c.job)
+		} else {
+			s.watchJobLocked(c.id, sw)
 		}
-		ev := SweepEvent{
-			Type: evJobUpdate, JobID: k,
-			Config: child.config, Bench: child.bench, App: child.app,
-			Trace: child.trace, Gen: child.gen,
-			State: child.state.String(), Cached: child.cached,
-			Error: child.errMsg,
-		}
-		if child.state == jobDone {
-			// Answered from a cache, or joined a job already done.
-			ev.IPC, ev.Cycles = j.res.IPC, j.res.Cycles
-		}
-		s.appendSweepEventLocked(sw, ev)
+		queued = queued || c.queued
+		s.appendSweepEventLocked(sw, jobUpdateEvent(child, c.job))
 	}
 	s.maybeFinishSweepLocked(sw)
 	st := sweepStatusLocked(sw, true)
-	terminal := sw.terminal()
 	s.mu.Unlock()
-
-	code := http.StatusAccepted
-	if terminal {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
+	writeJSON(w, admittedCode(queued), st)
 }
 
-// resolvedChild is one sweep cell's admission answer, pinned by the
-// counting pass so the commit loop cannot disagree with the slot
-// arithmetic. At most one field is set; both nil means the cell needs
-// a queue slot.
-type resolvedChild struct {
-	job *job    // in-flight job to join, or done job from the memory LRU
-	res *result // result read and verified from the disk store
-}
-
-// admitResolvedLocked turns a pinned resolution into the verdicts
-// admitLocked would give, without re-probing the caches: by commit
-// time the LRU or the store may have moved on, but the sweep was
-// already promised this answer when it passed admission control.
-// Unresolved cells fall through to the ordinary admission path.
-// Caller holds s.mu, continuously since the resolution pass — which
-// is why a pinned in-flight job is still in flight: workers finalize
-// under the same mutex.
-func (s *Server) admitResolvedLocked(req SimulationRequest, id string, rc resolvedChild) (*job, admission) {
-	switch {
-	case rc.job != nil && !rc.job.terminal():
-		s.dedupJoins.Add(1)
-		rc.job.asyncHold = true
-		return rc.job, admitJoined
-	case rc.job != nil:
-		// Done job from the memory LRU. Re-put so pollers can fetch it
-		// by ID even if an earlier cell's disk-path put evicted it.
-		s.cacheHits.Add(1)
-		s.finished.put(rc.job)
-		return rc.job, admitCachedMem
-	case rc.res != nil:
-		// Disk-store hit, read and verified at resolution time; the LRU
-		// re-adopts it exactly as admitLocked's disk path would.
-		now := s.now()
-		j := &job{
-			id: id, req: req, state: jobDone, res: *rc.res,
-			done: make(chan struct{}), submitted: now, started: now, finished: now,
-		}
-		close(j.done)
-		s.finished.put(j)
-		return j, admitCachedDisk
+// jobUpdateEvent is the job_update event for child after it mirrored
+// j; a done cell carries its IPC and cycles.
+func jobUpdateEvent(child *sweepChild, j *job) SweepEvent {
+	ev := SweepEvent{
+		Type: evJobUpdate, JobID: child.jobID,
+		Config: child.config, Bench: child.bench, App: child.app,
+		Trace: child.trace, Gen: child.gen,
+		State: child.state.String(), Cached: child.cached,
+		Error: child.errMsg,
 	}
-	return s.admitLocked(req, id, true)
+	if child.state == jobDone {
+		ev.IPC, ev.Cycles = j.res.IPC, j.res.Cycles
+	}
+	return ev
 }
 
 // watchJobLocked subscribes sw to jobID's state changes. Caller holds
@@ -555,16 +448,7 @@ func (s *Server) sweepJobChangedLocked(j *job) {
 		} else {
 			child.state = j.state
 		}
-		ev := SweepEvent{
-			Type: evJobUpdate, JobID: j.id,
-			Config: child.config, Bench: child.bench, App: child.app,
-			Trace: child.trace, Gen: child.gen,
-			State: child.state.String(), Error: child.errMsg,
-		}
-		if j.state == jobDone {
-			ev.IPC, ev.Cycles = j.res.IPC, j.res.Cycles
-		}
-		s.appendSweepEventLocked(sw, ev)
+		s.appendSweepEventLocked(sw, jobUpdateEvent(child, j))
 		s.maybeFinishSweepLocked(sw)
 	}
 	if terminalState(j.state) {
@@ -584,6 +468,9 @@ func (sw *sweep) recordTerminalLocked(child *sweepChild, j *job) {
 	switch j.state {
 	case jobDone:
 		sw.done++
+		if child.cached {
+			sw.cached++
+		}
 	case jobFailed:
 		sw.failed++
 	case jobCancelled:

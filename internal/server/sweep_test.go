@@ -578,20 +578,18 @@ func TestSweepConfigUnmarshalForms(t *testing.T) {
 }
 
 // TestSweepAdmissionPinsStoreReads is the deterministic repro for the
-// counted-slots race: the old dry pass trusted store.has, an index-only
-// hint, so a store entry that turned out unreadable at admission time
-// (corrupt record, or evicted by a concurrent worker's write) left a
-// counted-as-cached cell needing a queue slot the 429 check never
-// reserved. With a full queue that cell failed with "queue full during
-// admission" inside an admitted — supposedly all-or-nothing — sweep.
-// The fix resolves (reads and pins) every cached answer under the same
-// lock hold as the count, so the sweep now correctly bounces with 429.
+// counted-slots race. A store entry that is indexed but unreadable at
+// admission time (a corrupt record, or one evicted by a concurrent
+// worker's write) needs a queue slot like any fresh cell. Admission
+// reads and pins every cached answer under the same lock hold as the
+// slot count, so with a full queue the sweep bounces with 429 instead
+// of admitting a cell it has no slot for.
 func TestSweepAdmissionPinsStoreReads(t *testing.T) {
 	dir := t.TempDir()
 
 	// Seed the store with one completed dump, then corrupt its record on
-	// disk after restart: the index still lists the entry (has == true)
-	// but any read quarantines it (get == nil).
+	// disk after restart: the index still lists the entry but any read
+	// quarantines it (get == nil).
 	seed := New(Config{Workers: 1, StoreDir: dir})
 	seed.runFn = func(_ context.Context, req SimulationRequest) (*sim.StatsDump, error) {
 		return &sim.StatsDump{Schema: sim.StatsSchema, Config: req.Config, Benchmark: req.Bench}, nil
@@ -607,7 +605,7 @@ func TestSweepAdmissionPinsStoreReads(t *testing.T) {
 
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1, StoreDir: dir})
 	id := tinyReq("bfs").normalize().Key()
-	if !s.store.has(id) {
+	if s.store.len() != 1 {
 		t.Fatal("seeded dump not indexed after restart")
 	}
 	corruptRecord(t, s.store, id)

@@ -19,7 +19,6 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -27,9 +26,7 @@ import (
 	"strings"
 	"time"
 
-	"sttllc/internal/config"
 	"sttllc/internal/ingest"
-	"sttllc/internal/sim"
 	"sttllc/internal/trace"
 )
 
@@ -87,8 +84,7 @@ func (s *Server) getTrace(id string) *trace.Recording {
 
 func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	if s.drainingFlag.Load() {
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		refuseDraining.write(w)
 		return
 	}
 	q := r.URL.Query()
@@ -236,25 +232,4 @@ func (s *Server) loadTraces() {
 		}
 		s.traces[id] = &traceEntry{rec: rec, uploaded: time.Now(), persisted: true}
 	}
-}
-
-// runTrace serves a trace-replay job: the uploaded recording is
-// replayed into the requested configuration, exactly the pass
-// `stttrace -replay` makes, so the dump is byte-identical to the CLI's
-// for the same trace and configuration.
-func (s *Server) runTrace(req SimulationRequest) (*sim.StatsDump, error) {
-	rec := s.getTrace(req.Trace)
-	if rec == nil {
-		// Existence was checked at submission; the registry never deletes.
-		return nil, fmt.Errorf("unknown trace %q", req.Trace)
-	}
-	cfg, err := req.gpuConfig()
-	if err != nil {
-		// validate() runs before enqueue; reaching this is a server bug.
-		panic("server: job with invalid config: " + err.Error())
-	}
-	r := sim.ReplayMany(rec, []config.GPUConfig{cfg})[0]
-	s.traceJobs.Add(1)
-	d := r.Dump()
-	return &d, nil
 }
