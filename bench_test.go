@@ -196,6 +196,24 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
 
+// BenchmarkSimulatorReset is BenchmarkSimulatorThroughput on one
+// retained simulator: each iteration Resets it instead of building a
+// new one, as a service worker does between jobs.
+func BenchmarkSimulatorReset(b *testing.B) {
+	spec, _ := workloads.ByName("bfs")
+	spec = spec.Scale(0.05)
+	spec.WarpsPerSM = 6
+	cfg := config.C1()
+	s := sim.New(cfg, spec, sim.Options{})
+	b.ResetTimer()
+	var instrs uint64
+	for i := 0; i < b.N; i++ {
+		s.Reset(cfg, spec, sim.Options{})
+		instrs += s.Run().Instructions
+	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+}
+
 // BenchmarkSimulatorThroughputL3 is the same measurement on the
 // two-tier C2-L3 stack, so the cost of hierarchy chaining is tracked
 // next to the single-tier row (which is the one CI gates).

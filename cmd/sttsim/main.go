@@ -123,7 +123,7 @@ func main() {
 			ar, rec, err = sim.RecordAppContext(ctx, cfg, app, opts)
 			writeRecording(*recordOut, rec, err)
 		} else {
-			ar, err = sim.RunAppContext(ctx, cfg, app, opts)
+			ar, err = sim.New(cfg, app.Kernels[0], opts).RunAppContext(ctx, app)
 		}
 		reportPartial(err)
 		writeTrace(*traceOut, opts.Tracer)

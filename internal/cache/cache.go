@@ -781,14 +781,17 @@ func (c *Cache) EnableWriteVariation() {
 }
 
 // Reset clears all lines and statistics but keeps the geometry, the
-// replacement policy, and any write-variation tracker dimensions. Wear
+// replacement policy, and any write-variation tracker (zeroed). Wear
 // and all stamps are zeroed: Reset models a fresh array, not a power
-// cycle of a worn one.
+// cycle of a worn one. Touched cold-metadata groups are zeroed in place
+// and kept, so a reused array refills without allocating.
 func (c *Cache) Reset() {
 	clear(c.valid)
 	clear(c.dirty)
 	clear(c.lru)
-	clear(c.cold) // drop the group slabs: a fresh array has zero wear
+	for _, g := range c.cold {
+		clear(g)
+	}
 	c.stamp = 0
 	c.rng = 0x9E3779B97F4A7C15
 	c.validCount = 0
@@ -797,7 +800,7 @@ func (c *Cache) Reset() {
 	c.activeLast = c.lastMask
 	c.Stats = Stats{}
 	if c.WriteVar != nil {
-		c.WriteVar = stats.NewWriteVariation(c.sets, c.Ways)
+		c.WriteVar.Reset()
 	}
 	if c.wheel != nil {
 		c.wheel.reset()

@@ -3,19 +3,22 @@ package cache
 import "sttllc/internal/metrics"
 
 // RegisterMetrics adopts the array's stats counters into a metrics
-// registry under the given prefix (e.g. "l2.bank0.lr"). The Stats
-// fields stay the hot-path storage — the registry only reads them at
-// snapshot time — and they remain valid across Reset, which assigns the
-// struct in place. The cache must outlive the registry's snapshots.
-func (c *Cache) RegisterMetrics(r *metrics.Registry, prefix string) {
+// registry under the scope (e.g. "l2.bank0.lr"). The Stats fields stay
+// the hot-path storage — the registry only reads them at snapshot time
+// — and they remain valid across Reset, which assigns the struct in
+// place. The cache must outlive the registry's snapshots.
+func (c *Cache) RegisterMetrics(sc metrics.Scope) {
+	if !sc.Enabled() {
+		return
+	}
 	s := &c.Stats
-	r.RegisterExternal(prefix+".read_hits", &s.ReadHits)
-	r.RegisterExternal(prefix+".read_misses", &s.ReadMisses)
-	r.RegisterExternal(prefix+".write_hits", &s.WriteHits)
-	r.RegisterExternal(prefix+".write_misses", &s.WriteMisses)
-	r.RegisterExternal(prefix+".fills", &s.Fills)
-	r.RegisterExternal(prefix+".evictions", &s.Evictions)
-	r.RegisterExternal(prefix+".dirty_evictions", &s.DirtyEvict)
-	r.RegisterExternal(prefix+".invalidates", &s.Invalidates)
-	r.RegisterFunc(prefix+".valid_lines", func() uint64 { return uint64(c.ValidLines()) })
+	sc.External("read_hits", &s.ReadHits)
+	sc.External("read_misses", &s.ReadMisses)
+	sc.External("write_hits", &s.WriteHits)
+	sc.External("write_misses", &s.WriteMisses)
+	sc.External("fills", &s.Fills)
+	sc.External("evictions", &s.Evictions)
+	sc.External("dirty_evictions", &s.DirtyEvict)
+	sc.External("invalidates", &s.Invalidates)
+	sc.Func("valid_lines", func() uint64 { return uint64(c.ValidLines()) })
 }

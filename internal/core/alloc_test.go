@@ -56,7 +56,7 @@ func TestTwoPartSteadyStateAllocFree(t *testing.T) {
 // disabled registry records nothing at all.
 func TestTwoPartMetricsKeepSteadyStateAllocFree(t *testing.T) {
 	b := newTestBank()
-	b.RegisterMetrics(metrics.NewRegistry(false), "l2.bank0")
+	b.RegisterMetrics(metrics.NewRegistry(false).Scope().Sub("l2.bank0"))
 	addrs := []uint64{0x000, 0x040, 0x080}
 	now := int64(0)
 	for _, a := range addrs {

@@ -81,11 +81,10 @@ type Bank interface {
 	LeakageWatts() float64
 	Reset()
 	// RegisterMetrics adopts the bank's statistics into a metrics
-	// registry under the given prefix (e.g. "l2.bank0"). The registry
-	// reads the adopted fields only at snapshot time, so registration
-	// adds nothing to the access path; on a disabled registry it is a
-	// no-op.
-	RegisterMetrics(r *metrics.Registry, prefix string)
+	// registry under the scope (e.g. "l2.bank0"). The registry reads
+	// the adopted fields only at snapshot time, so registration adds
+	// nothing to the access path; on a disabled registry it is a no-op.
+	RegisterMetrics(sc metrics.Scope)
 }
 
 // BankStats counts the events the experiments need.

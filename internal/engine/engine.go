@@ -92,13 +92,45 @@ type Engine struct {
 	actorFns []Func // per-Waker callbacks, indexed by event.actor
 }
 
+// bucketCap is the capacity each wheel bucket starts with. The buckets
+// are carved from one slab, so a fresh engine costs one allocation for
+// its wheel instead of one per bucket on first use; a bucket that
+// outgrows its share reallocates on its own.
+const bucketCap = 4
+
 // New returns an engine with its clock at start.
 func New(start int64) *Engine {
 	// Size the arena for a typical complement of wakers up front: live
 	// events at any instant number in the tens, so one slab avoids the
 	// append-doubling copies (and their pointer write barriers — event
 	// holds a Func) on the schedule hot path.
-	return &Engine{now: start, events: make([]event, 0, 64)}
+	e := &Engine{now: start, events: make([]event, 0, 64)}
+	slab := make([]int32, wheelSize*bucketCap)
+	for i := range e.wheel {
+		e.wheel[i] = slab[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
+	}
+	return e
+}
+
+// Reset empties the engine and sets its clock to start, keeping its
+// arena, heap and wheel buckets: the reset engine behaves exactly like
+// New(start). Every Waker of the old timeline is void.
+func (e *Engine) Reset(start int64) {
+	e.now, e.seq, e.live, e.fired = start, 0, 0, 0
+	clear(e.events) // drop the stale callbacks
+	e.events = e.events[:0]
+	e.free = e.free[:0]
+	e.far = e.far[:0]
+	e.farDead = 0
+	for i := range e.wheel {
+		e.wheel[i] = e.wheel[i][:0]
+	}
+	e.wheelLive = [wheelSize]int32{}
+	e.near = 0
+	e.mask = [wheelWords]uint64{}
+	e.batch = e.batch[:0]
+	clear(e.actorFns)
+	e.actorFns = e.actorFns[:0]
 }
 
 // Now returns the engine clock: the latest cycle passed to RunUntil (or

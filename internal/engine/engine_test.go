@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -236,6 +237,63 @@ func TestWheelBucketReuseAfterJump(t *testing.T) {
 	e.RunUntil(100)
 	if !fired {
 		t.Error("event in reused bucket did not fire")
+	}
+}
+
+// An engine reset mid-timeline — live near and far events, wakers,
+// cancellations parked in the heap — must run a new script exactly as a
+// fresh engine does: same fire times, same order, same totals.
+func TestResetMatchesNew(t *testing.T) {
+	type fire struct {
+		at int64
+		id int
+	}
+	script := func(e *Engine, rng *rand.Rand) []fire {
+		var got []fire
+		var ws []*Waker
+		for i := 0; i < 8; i++ {
+			i := i
+			ws = append(ws, e.NewWaker(int32(i%3), func(now int64) { got = append(got, fire{now, -i}) }))
+		}
+		for step := 0; step < 300; step++ {
+			at := e.Now() + int64(rng.Intn(2000))
+			switch k := rng.Intn(4); k {
+			case 0:
+				ws[rng.Intn(len(ws))].WakeAt(at)
+			case 1:
+				ws[rng.Intn(len(ws))].Cancel()
+			default:
+				id := step
+				e.Schedule(at, func(now int64) { got = append(got, fire{now, id}) })
+			}
+			if step%7 == 0 {
+				e.RunUntil(e.Now() + int64(rng.Intn(300)))
+				next, ok := e.Peek()
+				got = append(got, fire{next, e.Len()})
+				if !ok {
+					got = append(got, fire{-1, -1})
+				}
+			}
+		}
+		return got
+	}
+	used := New(0)
+	script(used, rand.New(rand.NewSource(1))) // leaves events pending
+	if used.Len() == 0 {
+		t.Fatal("the first script left nothing pending")
+	}
+	used.Reset(50)
+	fresh := New(50)
+	got := script(used, rand.New(rand.NewSource(2)))
+	want := script(fresh, rand.New(rand.NewSource(2)))
+	used.RunUntil(1 << 20)
+	fresh.RunUntil(1 << 20)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reset engine fired %d events, fresh %d, or in another order", len(got), len(want))
+	}
+	if used.ScheduledTotal() != fresh.ScheduledTotal() || used.FiredTotal() != fresh.FiredTotal() {
+		t.Errorf("totals: reset %d/%d, fresh %d/%d", used.ScheduledTotal(), used.FiredTotal(),
+			fresh.ScheduledTotal(), fresh.FiredTotal())
 	}
 }
 

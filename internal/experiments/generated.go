@@ -58,7 +58,7 @@ func GeneratedSweep(p Params, family gen.FamilySpec, configNames []string) ([]Ge
 			if p.ctx().Err() != nil {
 				return rows, p.ctx().Err()
 			}
-			ar, err := sim.RunAppContext(p.ctx(), cfg, app, p.opts())
+			ar, err := sim.New(cfg, app.Kernels[0], p.opts()).RunAppContext(p.ctx(), app)
 			if err != nil {
 				return rows, err
 			}

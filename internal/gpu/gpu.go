@@ -260,33 +260,46 @@ type sleeper struct {
 // NewSM builds an SM running jobs [firstJob, firstJob+numJobs) of the
 // kernel with the given resident-warp count.
 func NewSM(id int, cfg SMConfig, model KernelModel, mem MemSystem, resident, firstJob, numJobs int) *SM {
+	s := &SM{ID: id}
+	s.Reset(cfg, model, mem, resident, firstJob, numJobs)
+	return s
+}
+
+// Reset reloads the SM with a new window of warp jobs, leaving it
+// exactly as NewSM builds it: warp slots, credits, scheduler state and
+// statistics start fresh and the caches are empty. Caches and slices
+// whose geometry still fits are reused rather than reallocated.
+func (s *SM) Reset(cfg SMConfig, model KernelModel, mem MemSystem, resident, firstJob, numJobs int) {
 	if resident < 1 {
 		resident = 1
 	}
 	if resident > numJobs {
 		resident = numJobs
 	}
-	s := &SM{
-		ID:         id,
-		cfg:        cfg,
-		mem:        mem,
-		model:      model,
-		l1:         cache.New(cfg.L1Bytes, cfg.L1Ways, cfg.L1LineBytes),
-		ccache:     cache.New(cfg.ConstBytes, cfg.ConstWays, cfg.ConstLineBytes),
-		tcache:     cache.New(cfg.TexBytes, cfg.TexWays, cfg.TexLineBytes),
-		warps:      make([]warpCtx, resident),
+	warps := s.warps[:0]
+	if cap(warps) < resident {
+		warps = make([]warpCtx, 0, resident)
+	}
+	warps = warps[:resident]
+	clear(warps)
+	*s = SM{
+		ID:     s.ID,
+		cfg:    cfg,
+		mem:    mem,
+		model:  model,
+		l1:     smCache(s.l1, cfg.L1Bytes, cfg.L1Ways, cfg.L1LineBytes),
+		ccache: smCache(s.ccache, cfg.ConstBytes, cfg.ConstWays, cfg.ConstLineBytes),
+		tcache: smCache(s.tcache, cfg.TexBytes, cfg.TexWays, cfg.TexLineBytes),
+
+		warps:      warps,
 		lastIssued: -1,
 		nextJob:    firstJob,
 		lastJob:    firstJob + numJobs,
 		credits:    cfg.StoreCredits,
+		creditRet:  s.creditRet[:0],
 		creditMin:  math.MaxInt64,
+		sleep:      s.sleep[:0],
 	}
-	// Nothing SM-side reads per-line write counters, retention stamps,
-	// or wear from these caches — that bookkeeping belongs to the L2
-	// banks — so skip its cost entirely.
-	s.l1.DisableMetadata()
-	s.ccache.DisableMetadata()
-	s.tcache.DisableMetadata()
 	for i := range s.warps {
 		s.activate(i)
 	}
@@ -299,7 +312,20 @@ func NewSM(id int, cfg SMConfig, model KernelModel, mem MemSystem, resident, fir
 			}
 		}
 	}
-	return s
+}
+
+// smCache returns c emptied when it already has the geometry, or a new
+// cache with it. Nothing SM-side reads per-line write counters,
+// retention stamps, or wear — that bookkeeping belongs to the L2 banks —
+// so SM caches skip its cost entirely.
+func smCache(c *cache.Cache, bytes, ways, lineBytes int) *cache.Cache {
+	if c != nil && c.CapacityBytes == bytes && c.Ways == ways && c.LineBytes == lineBytes {
+		c.Reset()
+		return c
+	}
+	c = cache.New(bytes, ways, lineBytes)
+	c.DisableMetadata()
+	return c
 }
 
 // activate loads the next warp job into slot i, or marks it retired.

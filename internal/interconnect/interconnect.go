@@ -48,6 +48,13 @@ func New(inputs, outputs int, perStageCycles int64) *Network {
 	}
 }
 
+// Reset frees every port and zeroes the statistics: the network is then
+// as New built it.
+func (n *Network) Reset() {
+	clear(n.nextFree)
+	n.Stats = Stats{}
+}
+
 // BaseLatency returns the unloaded traversal latency in cycles.
 func (n *Network) BaseLatency() int64 { return n.latency }
 

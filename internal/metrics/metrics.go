@@ -1,8 +1,14 @@
 // Package metrics is the simulator's counter fabric: a per-simulation
 // registry of typed counters, gauges, and fixed-bucket histograms whose
-// storage is allocated once, at simulation construction, in stable slabs.
+// storage lives in stable slabs.
 //
-// The design goal is that observability never perturbs what it observes:
+// Scalar names are data, not per-run work. A registry either names its
+// scalars as they register (ad hoc use, and the first run of a shape)
+// or binds a Table — the frozen, pre-sorted name list of an earlier
+// identical registration sequence — and then records only where each
+// value is read. A simulator keeps one Table per configuration shape,
+// so a run builds no metric name, no name map and no sort; a dump
+// writes its counters in the table's order.
 //
 //   - The enabled hot path is a single memory increment. A Counter is a
 //     pointer into a registry-owned slab (slabs are fixed-size chunks, so
@@ -19,9 +25,9 @@
 //
 //   - Adoption is free. Actors that already keep plain uint64 stat
 //     fields (bank, cache, DRAM stats structs) register pointers to
-//     them with RegisterExternal, so their hot paths keep the increments
+//     them with Scope.External, so their hot paths keep the increments
 //     they already had and the registry only touches the fields at
-//     snapshot time. RegisterFunc registers a snapshot-time callback for
+//     snapshot time. Scope.Func registers a snapshot-time callback for
 //     values that are computed (aggregates over actors, live gauges).
 //
 // A Registry and its handles are owned by one simulation goroutine, like
@@ -36,7 +42,10 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync/atomic"
 )
 
@@ -51,18 +60,31 @@ type Registry struct {
 	chunks  [][]uint64
 	used    int // slots used in the newest chunk
 	sink    []uint64
+	// sinkHist is the one histogram a disabled registry hands out.
+	sinkHist *Histogram
 
-	names   map[string]struct{}
-	entries []entry
-	hists   []*Histogram
+	// The registered scalars, in registration order: names[i] names
+	// srcs[i]. A registry bound to a Table (Bind) shares the table's
+	// names and appends only sources; an unbound one names as it goes.
+	names []string
+	srcs  []source
+	table *Table
+	seen  map[string]struct{} // duplicate check while naming
+	hists []*Histogram
 }
 
-// entry is one registered scalar: a slab or external counter (p) or a
-// snapshot-time callback (f). Exactly one of p, f is set.
-type entry struct {
-	name string
-	p    *uint64
-	f    func() uint64
+// source is where one registered scalar is read at snapshot time: a
+// slab or external counter (p) or a callback (f). Exactly one is set.
+type source struct {
+	p *uint64
+	f func() uint64
+}
+
+func (s source) value() uint64 {
+	if s.p != nil {
+		return *s.p
+	}
+	return s.f()
 }
 
 // Sample is one named value in a registry snapshot.
@@ -79,14 +101,16 @@ func NewRegistry(enabled bool) *Registry {
 	r := &Registry{enabled: enabled}
 	if !enabled {
 		r.sink = make([]uint64, 1)
-	} else {
-		r.names = make(map[string]struct{})
+		r.sinkHist = &Histogram{over: &r.sink[0]}
 	}
 	return r
 }
 
 // Enabled reports whether this registry records anything.
 func (r *Registry) Enabled() bool { return r.enabled }
+
+// Len returns the number of registered scalars.
+func (r *Registry) Len() int { return len(r.srcs) }
 
 // slots returns n stable slab slots (one chunk, contiguous). Oversized
 // requests get a dedicated chunk.
@@ -105,14 +129,160 @@ func (r *Registry) slots(n int) []uint64 {
 	return s
 }
 
-// register claims a name, panicking on duplicates: two actors colliding
+// claim reserves a name, panicking on duplicates: two actors colliding
 // on a metric name is a wiring bug worth failing loudly on.
-func (r *Registry) register(e entry) {
-	if _, dup := r.names[e.name]; dup {
-		panic(fmt.Sprintf("metrics: duplicate metric %q", e.name))
+func (r *Registry) claim(name string) {
+	if r.seen == nil {
+		r.seen = make(map[string]struct{})
 	}
-	r.names[e.name] = struct{}{}
-	r.entries = append(r.entries, e)
+	if _, dup := r.seen[name]; dup {
+		panic(fmt.Sprintf("metrics: duplicate metric %q", name))
+	}
+	r.seen[name] = struct{}{}
+}
+
+// register appends one scalar. A bound registry takes the name from its
+// table: name is then only checked, and may be empty (a Scope passes
+// none rather than build it).
+func (r *Registry) register(name string, src source) {
+	if t := r.table; t != nil {
+		i := len(r.srcs)
+		if i == len(t.names) || (name != "" && name != t.names[i]) {
+			panic(fmt.Sprintf("metrics: registration %d (%q) does not follow its table", i, name))
+		}
+		r.srcs = append(r.srcs, src)
+		return
+	}
+	r.claim(name)
+	r.names = append(r.names, name)
+	r.srcs = append(r.srcs, src)
+}
+
+// Table is the frozen scalar name list of one registration sequence:
+// the names in registration order and, precomputed, their sorted
+// order. A registry that will see the same sequence binds the table
+// (Bind) and then builds no name, no map and no sort of its own.
+type Table struct {
+	names  []string
+	sorted []int32 // indices into names, by ascending name
+}
+
+// Table returns the registry's scalar names as a Table. For a bound
+// registry it is the bound table, after checking that registration
+// reached its end.
+func (r *Registry) Table() *Table {
+	if t := r.table; t != nil {
+		if len(r.srcs) != len(t.names) {
+			panic(fmt.Sprintf("metrics: %d registrations for a table of %d", len(r.srcs), len(t.names)))
+		}
+		return t
+	}
+	return &Table{names: slices.Clip(r.names), sorted: r.sortedOrder()}
+}
+
+// Bind makes an enabled, still empty registry take its scalar names
+// from t: the registrations that follow must be exactly the sequence
+// that built t (checked by position; Table verifies the count). It
+// reports whether the registry is now bound; a disabled or non-empty
+// registry is left as it is.
+func (r *Registry) Bind(t *Table) bool {
+	if !r.enabled || t == nil || len(r.srcs) > 0 {
+		return false
+	}
+	r.table = t
+	r.names = t.names
+	r.srcs = make([]source, 0, len(t.names))
+	return true
+}
+
+// sortedOrder returns the indices of the scalars by ascending name.
+func (r *Registry) sortedOrder() []int32 {
+	if r.table != nil {
+		return r.table.sorted
+	}
+	order := make([]int32, len(r.names))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(r.names[a], r.names[b]) })
+	return order
+}
+
+// Scope registers scalars under a dotted name prefix ("l2.bank0.lr").
+// On an unbound registry it joins the names; on a bound one it records
+// only the value sources, in order, and never builds a string; on a
+// disabled one it does nothing.
+type Scope struct {
+	r      *Registry
+	prefix string
+}
+
+// Scope returns the registry's root scope (no prefix).
+func (r *Registry) Scope() Scope { return Scope{r: r} }
+
+// Enabled reports whether registrations through s record anything.
+// Callers skip building callbacks when it is false.
+func (s Scope) Enabled() bool { return s.r.enabled }
+
+func (s Scope) naming() bool { return s.r.enabled && s.r.table == nil }
+
+// name is s's full name for a leaf, or "" when the registry does not
+// need it.
+func (s Scope) name(leaf string) string {
+	if !s.naming() {
+		return ""
+	}
+	if s.prefix == "" {
+		return leaf
+	}
+	return s.prefix + "." + leaf
+}
+
+// Sub returns the scope one level down, under name.
+func (s Scope) Sub(name string) Scope {
+	if s.naming() {
+		s.prefix = s.name(name)
+	}
+	return s
+}
+
+// SubN is Sub(name + decimal n), for indexed levels such as "bank3".
+func (s Scope) SubN(name string, n int) Scope {
+	if s.naming() {
+		s.prefix = s.name(name + strconv.Itoa(n))
+	}
+	return s
+}
+
+// External adopts a counter that lives outside the registry —
+// typically a field of an actor's existing stats struct, which the
+// actor's hot path already increments. The pointed-to location must
+// outlive the registry and must not move (fields of heap-allocated
+// actors qualify; elements of append-grown slices do not).
+func (s Scope) External(leaf string, p *uint64) {
+	if s.r.enabled {
+		s.r.register(s.name(leaf), source{p: p})
+	}
+}
+
+// Func registers a snapshot-time callback, for values that are
+// aggregates or otherwise computed. f runs on every snapshot and must
+// be cheap and side-effect free.
+func (s Scope) Func(leaf string, f func() uint64) {
+	if s.r.enabled {
+		s.r.register(s.name(leaf), source{f: f})
+	}
+}
+
+// Gauge allocates a slab gauge. On a disabled registry the handle
+// writes into the sink.
+func (s Scope) Gauge(leaf string) Gauge {
+	if !s.r.enabled {
+		return Gauge{p: &s.r.sink[0]}
+	}
+	p := &s.r.slots(1)[0]
+	s.r.register(s.name(leaf), source{p: p})
+	return Gauge{p: p}
 }
 
 // Counter is a monotonically increasing event count. Obtain one from a
@@ -140,7 +310,7 @@ func (r *Registry) NewCounter(name string) Counter {
 		return Counter{p: &r.sink[0]}
 	}
 	p := &r.slots(1)[0]
-	r.register(entry{name: name, p: p})
+	r.register(name, source{p: p})
 	return Counter{p: p}
 }
 
@@ -152,38 +322,6 @@ func (g Gauge) Set(v uint64) { *g.p = v }
 
 // Value returns the current value.
 func (g Gauge) Value() uint64 { return *g.p }
-
-// NewGauge allocates a slab gauge.
-func (r *Registry) NewGauge(name string) Gauge {
-	if !r.enabled {
-		return Gauge{p: &r.sink[0]}
-	}
-	p := &r.slots(1)[0]
-	r.register(entry{name: name, p: p})
-	return Gauge{p: p}
-}
-
-// RegisterExternal adopts a counter that lives outside the registry —
-// typically a field of an actor's existing stats struct, which the
-// actor's hot path already increments. The pointed-to location must
-// outlive the registry and must not move (fields of heap-allocated
-// actors qualify; elements of append-grown slices do not).
-func (r *Registry) RegisterExternal(name string, p *uint64) {
-	if !r.enabled {
-		return
-	}
-	r.register(entry{name: name, p: p})
-}
-
-// RegisterFunc registers a snapshot-time callback, for values that are
-// aggregates or otherwise computed. f runs on every Snapshot/Map call
-// and must be cheap and side-effect free.
-func (r *Registry) RegisterFunc(name string, f func() uint64) {
-	if !r.enabled {
-		return
-	}
-	r.register(entry{name: name, f: f})
-}
 
 // Histogram is a fixed-bucket histogram over int64 samples. Bucket i
 // counts samples v with v <= edge[i] (first matching bucket wins);
@@ -210,7 +348,7 @@ func (r *Registry) NewHistogram(name string, edges ...int64) *Histogram {
 		}
 	}
 	if !r.enabled {
-		return &Histogram{over: &r.sink[0]}
+		return r.sinkHist
 	}
 	s := r.slots(len(edges) + 1)
 	h := &Histogram{
@@ -219,10 +357,9 @@ func (r *Registry) NewHistogram(name string, edges ...int64) *Histogram {
 		counts: s[:len(edges)],
 		over:   &s[len(edges)],
 	}
-	if _, dup := r.names[name]; dup {
-		panic(fmt.Sprintf("metrics: duplicate metric %q", name))
+	if r.table == nil {
+		r.claim(name)
 	}
-	r.names[name] = struct{}{}
 	r.hists = append(r.hists, h)
 	return h
 }
@@ -272,45 +409,32 @@ type HistogramSnapshot struct {
 // Snapshot returns every registered scalar, in registration order.
 // Callback entries are evaluated now.
 func (r *Registry) Snapshot() []Sample {
-	out := make([]Sample, len(r.entries))
-	for i, e := range r.entries {
-		s := Sample{Name: e.name}
-		if e.p != nil {
-			s.Value = *e.p
-		} else {
-			s.Value = e.f()
-		}
-		out[i] = s
+	out := make([]Sample, len(r.srcs))
+	for i, src := range r.srcs {
+		out[i] = Sample{Name: r.names[i], Value: src.value()}
 	}
 	return out
 }
 
-// Map returns the snapshot as a name-keyed map (convenient for JSON
-// export, where Go marshals map keys sorted and therefore
-// deterministically).
-func (r *Registry) Map() map[string]uint64 {
-	if len(r.entries) == 0 {
+// Sorted returns every registered scalar sorted by name. A bound
+// registry reads the order from its table.
+func (r *Registry) Sorted() Samples {
+	if len(r.srcs) == 0 {
 		return nil
 	}
-	out := make(map[string]uint64, len(r.entries))
-	for _, e := range r.entries {
-		if e.p != nil {
-			out[e.name] = *e.p
-		} else {
-			out[e.name] = e.f()
-		}
+	order := r.sortedOrder()
+	out := make(Samples, len(order))
+	for i, j := range order {
+		out[i] = Sample{Name: r.names[j], Value: r.srcs[j].value()}
 	}
 	return out
 }
 
 // Value returns the named scalar's current value.
 func (r *Registry) Value(name string) (uint64, bool) {
-	for _, e := range r.entries {
-		if e.name == name {
-			if e.p != nil {
-				return *e.p, true
-			}
-			return e.f(), true
+	for i, src := range r.srcs {
+		if r.names[i] == name {
+			return src.value(), true
 		}
 	}
 	return 0, false

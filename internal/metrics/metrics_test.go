@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -8,7 +10,7 @@ import (
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry(true)
 	c := r.NewCounter("c")
-	g := r.NewGauge("g")
+	g := r.Scope().Gauge("g")
 	c.Inc()
 	c.Add(4)
 	g.Set(7)
@@ -27,12 +29,14 @@ func TestCounterGaugeBasics(t *testing.T) {
 func TestExternalAndFuncEntries(t *testing.T) {
 	r := NewRegistry(true)
 	var ext uint64
-	r.RegisterExternal("ext", &ext)
-	r.RegisterFunc("twice_ext", func() uint64 { return 2 * ext })
+	r.Scope().External("ext", &ext)
+	r.Scope().Func("twice_ext", func() uint64 { return 2 * ext })
 	ext = 21
-	m := r.Map()
-	if m["ext"] != 21 || m["twice_ext"] != 42 {
-		t.Errorf("map = %v, want ext=21 twice_ext=42", m)
+	if a, _ := r.Value("ext"); a != 21 {
+		t.Errorf("ext = %d, want 21", a)
+	}
+	if b, _ := r.Value("twice_ext"); b != 42 {
+		t.Errorf("twice_ext = %d, want 42", b)
 	}
 	snap := r.Snapshot()
 	if len(snap) != 2 || snap[0].Name != "ext" || snap[1].Name != "twice_ext" {
@@ -48,7 +52,7 @@ func TestDuplicateNamePanics(t *testing.T) {
 			t.Error("duplicate registration did not panic")
 		}
 	}()
-	r.NewGauge("dup")
+	r.Scope().Gauge("dup")
 }
 
 // Counter handles must stay valid as the registry grows past many chunk
@@ -158,11 +162,11 @@ func TestConcurrentIncrements(t *testing.T) {
 func TestDisabledPathAllocFree(t *testing.T) {
 	r := NewRegistry(false)
 	c := r.NewCounter("c")
-	g := r.NewGauge("g")
+	g := r.Scope().Gauge("g")
 	h := r.NewHistogram("h", 10, 100, 1000)
 	var ext uint64
-	r.RegisterExternal("ext", &ext)
-	r.RegisterFunc("f", func() uint64 { return 0 })
+	r.Scope().External("ext", &ext)
+	r.Scope().Func("f", func() uint64 { return 0 })
 
 	i := int64(0)
 	avg := testing.AllocsPerRun(1000, func() {
@@ -223,4 +227,91 @@ func TestDisabledHandlesAreUsableConcurrentlyPerRegistry(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// registerShape is one fixed registration sequence through scopes, the way a
+// simulator of one shape registers.
+func registerShape(r *Registry, vals []uint64) {
+	sc := r.Scope()
+	sc.External("z.last", &vals[0])
+	for i := 0; i < 2; i++ {
+		b := sc.SubN("l2.bank", i)
+		b.External("reads", &vals[1+2*i])
+		b.Sub("lr").Func("fills", func() uint64 { return vals[2+2*i] })
+	}
+	r.NewCounter("a.first").Add(7)
+}
+
+// A registry bound to a table built by the same sequence reports the
+// same names and values, in the same orders, as the registry that built
+// it — while building no name of its own.
+func TestBoundRegistryMatchesNaming(t *testing.T) {
+	vals := []uint64{1, 2, 3, 4, 5}
+	naming := NewRegistry(true)
+	registerShape(naming, vals)
+	tbl := naming.Table()
+
+	bound := NewRegistry(true)
+	if !bound.Bind(tbl) {
+		t.Fatal("an empty enabled registry refused the table")
+	}
+	registerShape(bound, vals)
+	if bound.Table() != tbl {
+		t.Error("a bound registry's table is not the one it bound")
+	}
+	if got, want := bound.Snapshot(), naming.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("bound snapshot %v, want %v", got, want)
+	}
+	want := Samples{{"a.first", 7}, {"l2.bank0.lr.fills", 3}, {"l2.bank0.reads", 2},
+		{"l2.bank1.lr.fills", 5}, {"l2.bank1.reads", 4}, {"z.last", 1}}
+	for _, r := range []*Registry{naming, bound} {
+		if got := r.Sorted(); !reflect.DeepEqual(got, want) {
+			t.Errorf("sorted = %v, want %v", got, want)
+		}
+	}
+	if v, ok := want.Get("l2.bank1.reads"); !ok || v != 4 {
+		t.Errorf("Get = %d, %v", v, ok)
+	}
+	var back Samples
+	if err := json.Unmarshal(want.AppendJSON(nil), &back); err != nil || !reflect.DeepEqual(back, want) {
+		t.Errorf("round trip = %v, %v", back, err)
+	}
+
+	if NewRegistry(false).Bind(tbl) || naming.Bind(tbl) {
+		t.Error("a disabled or non-empty registry bound a table")
+	}
+}
+
+// A bound registry refuses a sequence that strays from its table.
+func TestBoundRegistryChecksSequence(t *testing.T) {
+	vals := []uint64{1, 2, 3, 4, 5}
+	naming := NewRegistry(true)
+	registerShape(naming, vals)
+	tbl := naming.Table()
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("a wrong name", func() {
+		r := NewRegistry(true)
+		r.Bind(tbl)
+		r.NewCounter("not.in.table")
+	})
+	mustPanic("a short sequence", func() {
+		r := NewRegistry(true)
+		r.Bind(tbl)
+		r.NewCounter("z.last")
+		r.Table()
+	})
+	mustPanic("a long sequence", func() {
+		r := NewRegistry(true)
+		r.Bind(tbl)
+		registerShape(r, vals)
+		r.NewCounter("extra")
+	})
 }

@@ -198,8 +198,25 @@ func (r SimulationRequest) resolveApp() workloads.App {
 	return app
 }
 
-// runSimulation executes one job; it is the server's runFn. Trace and
-// replay jobs replay a recording into the requested configuration: the
+// simSlot is a worker's retained simulator. Gen, app and bench jobs
+// Reset it rather than build a new one, so a worker pays the
+// simulator's construction once; replays build their own bank-only
+// simulators. nil until the first such job, and again after a failed
+// one (see runGuarded).
+type simSlot struct{ sim *sim.Simulator }
+
+// reset returns the slot's simulator rebuilt for cfg and spec.
+func (w *simSlot) reset(cfg config.GPUConfig, spec workloads.Spec, opts sim.Options) *sim.Simulator {
+	if w.sim == nil {
+		w.sim = sim.New(cfg, spec, opts)
+	} else {
+		w.sim.Reset(cfg, spec, opts)
+	}
+	return w.sim
+}
+
+// runSimulation executes one job on the worker's slot. Trace and replay
+// jobs replay a recording into the requested configuration: the
 // uploaded trace, exactly the pass `stttrace -replay` makes, or the
 // benchmark's reference stream, recorded once under the canonical
 // baseline configuration and shared through s.recordings, so N
@@ -211,7 +228,7 @@ func (r SimulationRequest) resolveApp() workloads.App {
 // Cancellation stops a run at the simulator's next periodic check; the
 // partial result is discarded (partial dumps must never enter the
 // cache).
-func (s *Server) runSimulation(ctx context.Context, req SimulationRequest) (*sim.StatsDump, error) {
+func (s *Server) runSimulation(ctx context.Context, req SimulationRequest, slot *simSlot) (*sim.StatsDump, error) {
 	cfg, err := req.gpuConfig()
 	if err != nil {
 		// validate() runs before enqueue; reaching this is a server bug.
@@ -251,7 +268,7 @@ func (s *Server) runSimulation(ctx context.Context, req SimulationRequest) (*sim
 				app.Kernels[i].WarpsPerSM = req.Warps
 			}
 		}
-		ar, err := sim.RunAppContext(ctx, cfg, app, opts)
+		ar, err := slot.reset(cfg, app.Kernels[0], opts).RunAppContext(ctx, app)
 		if err != nil {
 			return nil, err
 		}
@@ -259,9 +276,8 @@ func (s *Server) runSimulation(ctx context.Context, req SimulationRequest) (*sim
 		return &d, nil
 	}
 
-	spec := req.benchSpec()
 	opts.WarmupInstructions = req.Warmup
-	r, err := sim.New(cfg, spec, opts).RunContext(ctx)
+	r, err := slot.reset(cfg, req.benchSpec(), opts).RunContext(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -33,9 +33,9 @@ func TestWritePrometheusGolden(t *testing.T) {
 	reg := metrics.NewRegistry(true)
 	c := reg.NewCounter("sim.requests_total")
 	c.Add(7)
-	g := reg.NewGauge("queue.depth")
+	g := reg.Scope().Gauge("queue.depth")
 	g.Set(3)
-	reg.RegisterFunc("engine.events_fired_total", func() uint64 { return 42 })
+	reg.Scope().Func("engine.events_fired_total", func() uint64 { return 42 })
 	h := reg.NewHistogram("bank.latency", 10, 20, 40)
 	for _, v := range []int64{5, 15, 15, 39, 1000} {
 		h.Observe(v)

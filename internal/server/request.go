@@ -88,8 +88,9 @@ type SimulationRequest struct {
 }
 
 // normalize maps every equivalent request onto one canonical form: the
-// defaulted scale spellings collapse (0, 1.0 → 1) and the execution
-// timeout — which cannot change a completed run's result — is dropped.
+// defaulted scale spellings collapse (0, 1.0 → 1). The execution
+// timeout stays, for the job runner to apply; Key drops it, since it
+// cannot change a completed run's result.
 func (r SimulationRequest) normalize() SimulationRequest {
 	if r.Scale <= 0 || r.Scale == 1.0 {
 		r.Scale = 1
@@ -131,7 +132,6 @@ func (r SimulationRequest) normalize() SimulationRequest {
 	} else if r.AdaptiveEpochCycles == config.DefaultAdaptiveEpochCycles {
 		r.AdaptiveEpochCycles = 0
 	}
-	r.TimeoutMS = 0
 	return r
 }
 
@@ -281,7 +281,9 @@ func (r SimulationRequest) workloadLabel() string {
 // key — is deterministic. The key doubles as the job ID, which is what
 // makes identical requests observably converge on one job.
 func (r SimulationRequest) Key() string {
-	b, err := json.Marshal(r.normalize())
+	n := r.normalize()
+	n.TimeoutMS = 0
+	b, err := json.Marshal(n)
 	if err != nil {
 		// A struct of scalars cannot fail to marshal.
 		panic(fmt.Sprintf("server: canonicalizing request: %v", err))

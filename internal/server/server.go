@@ -25,7 +25,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -108,7 +107,8 @@ type Server struct {
 	mux *http.ServeMux
 	reg *metrics.Registry
 
-	// runFn executes one job; tests substitute controllable stand-ins.
+	// runFn, when set, executes every job in place of runSimulation;
+	// tests substitute controllable stand-ins.
 	runFn func(ctx context.Context, req SimulationRequest) (*sim.StatsDump, error)
 	// now stamps job lifecycle times (time.Now; tests pin it so the
 	// queue_ms and run_ms of a response are reproducible).
@@ -202,7 +202,6 @@ func New(cfg Config) *Server {
 		}
 		s.ring = newRing(cfg.Self, cfg.Peers)
 	}
-	s.runFn = s.runSimulation
 	s.registerMetrics()
 	s.routes()
 	s.wg.Add(cfg.Workers)
@@ -217,25 +216,25 @@ func New(cfg Config) *Server {
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 func (s *Server) registerMetrics() {
-	r := s.reg
-	r.RegisterFunc("server.jobs_submitted_total", s.submitted.Load)
-	r.RegisterFunc("server.jobs_completed_total", s.completed.Load)
-	r.RegisterFunc("server.jobs_failed_total", s.failed.Load)
-	r.RegisterFunc("server.jobs_cancelled_total", s.cancelledN.Load)
-	r.RegisterFunc("server.jobs_rejected_total", s.rejected.Load)
-	r.RegisterFunc("server.cache_hits_total", s.cacheHits.Load)
-	r.RegisterFunc("server.cache_misses_total", s.cacheMisses.Load)
-	r.RegisterFunc("server.dedup_joins_total", s.dedupJoins.Load)
-	r.RegisterFunc("server.sim_cycles_total", s.simCycles.Load)
-	r.RegisterFunc("server.sim_instructions_total", s.simInstr.Load)
-	r.RegisterFunc("server.jobs_running", func() uint64 {
+	r := s.reg.Scope()
+	r.Func("server.jobs_submitted_total", s.submitted.Load)
+	r.Func("server.jobs_completed_total", s.completed.Load)
+	r.Func("server.jobs_failed_total", s.failed.Load)
+	r.Func("server.jobs_cancelled_total", s.cancelledN.Load)
+	r.Func("server.jobs_rejected_total", s.rejected.Load)
+	r.Func("server.cache_hits_total", s.cacheHits.Load)
+	r.Func("server.cache_misses_total", s.cacheMisses.Load)
+	r.Func("server.dedup_joins_total", s.dedupJoins.Load)
+	r.Func("server.sim_cycles_total", s.simCycles.Load)
+	r.Func("server.sim_instructions_total", s.simInstr.Load)
+	r.Func("server.jobs_running", func() uint64 {
 		if n := s.running.Load(); n > 0 {
 			return uint64(n)
 		}
 		return 0
 	})
-	r.RegisterFunc("server.queue_depth", func() uint64 { return uint64(len(s.queue)) })
-	r.RegisterFunc("server.jobs_cached", func() uint64 {
+	r.Func("server.queue_depth", func() uint64 { return uint64(len(s.queue)) })
+	r.Func("server.jobs_cached", func() uint64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return uint64(s.finished.len())
@@ -243,79 +242,79 @@ func (s *Server) registerMetrics() {
 	// Replay-mode observability: how many jobs rode a recording instead
 	// of a full simulation, how many recordings exist, and how often a
 	// replay job found its workload's stream already recorded.
-	r.RegisterFunc("server.replay_jobs_total", s.replayJobs.Load)
-	r.RegisterFunc("server.recordings_cached", func() uint64 {
+	r.Func("server.replay_jobs_total", s.replayJobs.Load)
+	r.Func("server.recordings_cached", func() uint64 {
 		return uint64(s.recordings.Len())
 	})
-	r.RegisterFunc("server.recording_hits_total", func() uint64 {
+	r.Func("server.recording_hits_total", func() uint64 {
 		hits, _ := s.recordings.Stats()
 		return hits
 	})
-	r.RegisterFunc("server.recording_misses_total", func() uint64 {
+	r.Func("server.recording_misses_total", func() uint64 {
 		_, misses := s.recordings.Stats()
 		return misses
 	})
 	// Ingestion: uploaded traces, content-address dedup, and the two
 	// new job flavors (trace replays and generated workloads).
-	r.RegisterFunc("server.traces_uploaded_total", s.tracesUploaded.Load)
-	r.RegisterFunc("server.trace_dedup_total", s.traceDedup.Load)
-	r.RegisterFunc("server.trace_jobs_total", s.traceJobs.Load)
-	r.RegisterFunc("server.gen_jobs_total", s.genJobs.Load)
-	r.RegisterFunc("server.traces_registered", func() uint64 {
+	r.Func("server.traces_uploaded_total", s.tracesUploaded.Load)
+	r.Func("server.trace_dedup_total", s.traceDedup.Load)
+	r.Func("server.trace_jobs_total", s.traceJobs.Load)
+	r.Func("server.gen_jobs_total", s.genJobs.Load)
+	r.Func("server.traces_registered", func() uint64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return uint64(len(s.traces))
 	})
 	// Sweep fabric: batched grids, their children, and live joins.
-	r.RegisterFunc("server.sweeps_submitted_total", s.sweepsSubmitted.Load)
-	r.RegisterFunc("server.sweeps_completed_total", s.sweepsCompleted.Load)
-	r.RegisterFunc("server.sweeps_failed_total", s.sweepsFailed.Load)
-	r.RegisterFunc("server.sweeps_cancelled_total", s.sweepsCancelled.Load)
-	r.RegisterFunc("server.sweep_joins_total", s.sweepJoins.Load)
-	r.RegisterFunc("server.sweep_jobs_total", s.sweepChildrenN.Load)
-	r.RegisterFunc("server.sweeps_tracked", func() uint64 {
+	r.Func("server.sweeps_submitted_total", s.sweepsSubmitted.Load)
+	r.Func("server.sweeps_completed_total", s.sweepsCompleted.Load)
+	r.Func("server.sweeps_failed_total", s.sweepsFailed.Load)
+	r.Func("server.sweeps_cancelled_total", s.sweepsCancelled.Load)
+	r.Func("server.sweep_joins_total", s.sweepJoins.Load)
+	r.Func("server.sweep_jobs_total", s.sweepChildrenN.Load)
+	r.Func("server.sweeps_tracked", func() uint64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return uint64(len(s.sweeps))
 	})
 	// Disk store: zero-valued when persistence is off, so dashboards
 	// and scrapers see a uniform surface either way.
-	r.RegisterFunc("server.store_hits_total", func() uint64 {
+	r.Func("server.store_hits_total", func() uint64 {
 		if s.store == nil {
 			return 0
 		}
 		return s.store.hits.Load()
 	})
-	r.RegisterFunc("server.store_misses_total", func() uint64 {
+	r.Func("server.store_misses_total", func() uint64 {
 		if s.store == nil {
 			return 0
 		}
 		return s.store.misses.Load()
 	})
-	r.RegisterFunc("server.store_writes_total", func() uint64 {
+	r.Func("server.store_writes_total", func() uint64 {
 		if s.store == nil {
 			return 0
 		}
 		return s.store.writes.Load()
 	})
-	r.RegisterFunc("server.store_evictions_total", func() uint64 {
+	r.Func("server.store_evictions_total", func() uint64 {
 		if s.store == nil {
 			return 0
 		}
 		return s.store.evictions.Load()
 	})
-	r.RegisterFunc("server.store_quarantined_total", func() uint64 {
+	r.Func("server.store_quarantined_total", func() uint64 {
 		if s.store == nil {
 			return 0
 		}
 		return s.store.quarantined.Load()
 	})
-	r.RegisterFunc("server.store_entries", func() uint64 { return uint64(s.store.len()) })
-	r.RegisterFunc("server.store_bytes", func() uint64 { return uint64(s.store.bytes()) })
+	r.Func("server.store_entries", func() uint64 { return uint64(s.store.len()) })
+	r.Func("server.store_bytes", func() uint64 { return uint64(s.store.bytes()) })
 	// Multi-node: jobs executed by their ring owner vs. rescued locally.
-	r.RegisterFunc("server.forwarded_jobs_total", s.forwarded.Load)
-	r.RegisterFunc("server.forward_failovers_total", s.forwardFailover.Load)
-	r.RegisterFunc("server.ring_nodes", func() uint64 {
+	r.Func("server.forwarded_jobs_total", s.forwarded.Load)
+	r.Func("server.forward_failovers_total", s.forwardFailover.Load)
+	r.Func("server.ring_nodes", func() uint64 {
 		if s.ring == nil {
 			return 1
 		}
@@ -393,31 +392,28 @@ func statusLocked(j *job, cached bool) status {
 }
 
 // bufPool recycles response buffers; a job response is ~12 KB.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeStatus writes st exactly as writeJSON would write the JobStatus
 // with its Result set, without decoding the dump: the other fields go
-// through encoding/json, and the encoded dump is spliced in as the last
-// field by one json.Indent pass.
+// through encoding/json, and the encoded dump, which the process
+// already trusts, is spliced in as the last field by appendIndent.
 func writeStatus(w http.ResponseWriter, code int, st status) {
 	if st.dump == nil {
 		writeJSON(w, code, st.JobStatus)
 		return
 	}
 	head, _ := json.MarshalIndent(st.JobStatus, "", "  ") // Result is nil: strings and integers always marshal
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer bufPool.Put(buf)
-	buf.Reset()
-	buf.Write(head[:len(head)-len("\n}")]) // reopen the object
-	buf.WriteString(",\n  \"result\": ")
-	if err := json.Indent(buf, st.dump, "  ", "  "); err != nil {
-		writeError(w, http.StatusInternalServerError, "job %s: stored result: %v", st.ID, err)
-		return
-	}
-	buf.WriteString("\n}\n")
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	b := append((*bp)[:0], head[:len(head)-len("\n}")]...) // reopen the object
+	b = append(b, ",\n  \"result\": "...)
+	b = appendIndent(b, st.dump, "  ", "  ")
+	b = append(b, "\n}\n"...)
+	*bp = b
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(buf.Bytes())
+	w.Write(b)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -769,14 +765,16 @@ func (s *Server) effectiveTimeout(req SimulationRequest) time.Duration {
 	return s.cfg.DefaultTimeout
 }
 
+// worker runs queued jobs on one retained simulator (see simSlot).
 func (s *Server) worker() {
 	defer s.wg.Done()
+	var slot simSlot
 	for j := range s.queue {
-		s.runJob(j)
+		s.runJob(j, &slot)
 	}
 }
 
-func (s *Server) runJob(j *job) {
+func (s *Server) runJob(j *job, slot *simSlot) {
 	s.mu.Lock()
 	if j.state != jobQueued {
 		// Cancelled while queued; already finalized.
@@ -812,11 +810,11 @@ func (s *Server) runJob(j *job) {
 				err = ctx.Err()
 			} else {
 				s.forwardFailover.Add(1)
-				res, err = s.runGuarded(ctx, j.req)
+				res, err = s.runGuarded(ctx, j.req, slot)
 			}
 		}
 	} else {
-		res, err = s.runGuarded(ctx, j.req)
+		res, err = s.runGuarded(ctx, j.req, slot)
 	}
 	s.running.Add(-1)
 	cancel()
@@ -862,14 +860,25 @@ func (s *Server) runJob(j *job) {
 
 // runGuarded runs a job here and encodes its dump, shielding the worker
 // pool from a panicking simulation (a violated invariant panics by
-// design): the job fails, the worker and the daemon live on.
-func (s *Server) runGuarded(ctx context.Context, req SimulationRequest) (res result, err error) {
+// design): the job fails, the worker and the daemon live on. A job that
+// fails for any reason — a panic, a cancellation or deadline mid-run —
+// also drops the worker's retained simulator, so no state it left
+// behind can reach the next job.
+func (s *Server) runGuarded(ctx context.Context, req SimulationRequest, slot *simSlot) (res result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = result{}, fmt.Errorf("simulation panicked: %v", v)
 		}
+		if err != nil {
+			slot.sim = nil
+		}
 	}()
-	dump, err := s.runFn(ctx, req)
+	var dump *sim.StatsDump
+	if s.runFn != nil {
+		dump, err = s.runFn(ctx, req)
+	} else {
+		dump, err = s.runSimulation(ctx, req, slot)
+	}
 	if err != nil {
 		return result{}, err
 	}

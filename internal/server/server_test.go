@@ -558,7 +558,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // request, answered from the job LRU.
 func BenchmarkStatusResponse(b *testing.B) {
 	probe := New(Config{Workers: 1})
-	dump, err := probe.runSimulation(context.Background(), tinyReq("bfs"))
+	dump, err := probe.runSimulation(context.Background(), tinyReq("bfs"), &simSlot{})
 	probe.Shutdown(context.Background())
 	if err != nil {
 		b.Fatal(err)

@@ -635,7 +635,7 @@ func benchStoreDump(b *testing.B) []byte {
 	b.Helper()
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
-	dump, err := s.runSimulation(context.Background(), tinyReq("bfs"))
+	dump, err := s.runSimulation(context.Background(), tinyReq("bfs"), &simSlot{})
 	if err != nil {
 		b.Fatal(err)
 	}

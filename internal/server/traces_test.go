@@ -211,7 +211,7 @@ func TestGenRequestMatchesLocalRun(t *testing.T) {
 	}
 	cfg, _ := config.ByName("C1")
 	reg := metrics.NewRegistry(true)
-	ar, err := sim.RunAppContext(context.Background(), cfg, app, sim.Options{Metrics: reg})
+	ar, err := sim.New(cfg, app.Kernels[0], sim.Options{Metrics: reg}).RunAppContext(context.Background(), app)
 	if err != nil {
 		t.Fatal(err)
 	}

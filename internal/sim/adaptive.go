@@ -16,7 +16,6 @@
 package sim
 
 import (
-	"fmt"
 	"time"
 
 	"sttllc/internal/config"
@@ -46,8 +45,8 @@ type adaptiveController struct {
 }
 
 // newAdaptiveController adopts every two-part L2 bank of the simulator
-// and registers the reconfiguration counters. Only built when the
-// configuration enables adaptation.
+// (registerMetrics publishes their reconfiguration counters). Only
+// built when the configuration enables adaptation.
 func newAdaptiveController(s *Simulator) *adaptiveController {
 	c := &adaptiveController{
 		spec:   s.cfg.Adaptive.Resolved(),
@@ -64,22 +63,11 @@ func newAdaptiveController(s *Simulator) *adaptiveController {
 					c.banks = append(c.banks, adaptiveBank{
 						tp: tp, flat: fi, tid: bankTID(i), prev: *tp.Stats(),
 					})
-					// The transition counters live in the bank's stats
-					// struct; Stats() is a stable pointer (ResetStats
-					// zeroes in place), so external registration costs
-					// the access path nothing.
-					st := tp.Stats()
-					pfx := fmt.Sprintf("l2.bank%d.", i)
-					s.reg.RegisterExternal(pfx+"reconfig_threshold", &st.ReconfigThreshold)
-					s.reg.RegisterExternal(pfx+"reconfig_lr_resize", &st.ReconfigLRResize)
-					s.reg.RegisterExternal(pfx+"reconfig_retention", &st.ReconfigRetention)
-					s.reg.RegisterExternal(pfx+"reconfig_demotions", &st.ReconfigDemotions)
 				}
 			}
 			fi++
 		}
 	}
-	s.reg.RegisterFunc("adaptive.epochs", func() uint64 { return c.epochs })
 	return c
 }
 

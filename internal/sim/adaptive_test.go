@@ -70,11 +70,11 @@ func TestAdaptiveDumpCarriesReconfigCounters(t *testing.T) {
 		"adaptive.epochs", "l2.bank0.reconfig_threshold", "l2.bank0.reconfig_lr_resize",
 		"l2.bank0.reconfig_retention", "l2.bank0.reconfig_demotions",
 	} {
-		if _, ok := d.Counters[name]; !ok {
+		if _, ok := d.Counters.Get(name); !ok {
 			t.Errorf("counter %q missing from adaptive dump", name)
 		}
 	}
-	if d.Counters["adaptive.epochs"] == 0 {
+	if n, _ := d.Counters.Get("adaptive.epochs"); n == 0 {
 		t.Error("adaptive.epochs = 0: the epoch event never fired")
 	}
 	trans := res.Bank.ReconfigThreshold + res.Bank.ReconfigLRResize + res.Bank.ReconfigRetention
@@ -87,8 +87,8 @@ func TestAdaptiveDumpCarriesReconfigCounters(t *testing.T) {
 	reg2 := metrics.NewRegistry(true)
 	res2 := New(config.C2(), exportSpec(t), Options{Metrics: reg2}).Run()
 	d2 := DumpStats(res2, reg2)
-	for name := range d2.Counters {
-		if name == "adaptive.epochs" {
+	for _, c := range d2.Counters {
+		if c.Name == "adaptive.epochs" {
 			t.Error("disabled run registered adaptive.epochs")
 		}
 	}

@@ -120,7 +120,7 @@ func TestRunAppContextCancelStopsKernels(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	ar, err := RunAppContext(ctx, cfg, app, Options{})
+	ar, err := New(cfg, app.Kernels[0], Options{}).RunAppContext(ctx, app)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

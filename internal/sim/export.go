@@ -10,8 +10,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"slices"
-	"strconv"
 
 	"sttllc/internal/metrics"
 	"sttllc/internal/power"
@@ -43,10 +41,9 @@ type StatsDump struct {
 	Power PowerDump `json:"power"`
 
 	// Counters is the registry's scalar snapshot (empty without an
-	// enabled registry), encoded with its keys sorted. AppendJSON
-	// writes it from one sorted key slice rather than through
-	// encoding/json's reflective map encoder; the bytes are the same.
-	Counters map[string]uint64 `json:"counters,omitempty"`
+	// enabled registry), sorted by name. It encodes as a JSON object in
+	// that order, exactly as encoding/json writes the equivalent map.
+	Counters metrics.Samples `json:"counters,omitempty"`
 	// Histograms are the registry's bucket snapshots, sorted by name.
 	Histograms []HistogramDump `json:"histograms,omitempty"`
 
@@ -186,7 +183,7 @@ func DumpStats(r Result, reg *metrics.Registry) StatsDump {
 	if reg == nil {
 		return d
 	}
-	d.Counters = reg.Map()
+	d.Counters = reg.Sorted()
 	for _, h := range reg.Histograms() {
 		d.Histograms = append(d.Histograms, HistogramDump{
 			Name:     h.Name,
@@ -201,7 +198,7 @@ func DumpStats(r Result, reg *metrics.Registry) StatsDump {
 // AppendJSON appends d's compact JSON encoding to b: byte for byte what
 // json.Marshal(d) writes. The fields before and after Counters go
 // through encoding/json; Counters, nearly all of a dump's bytes, is
-// written from its keys sorted once, with no reflection per entry.
+// written straight from its sorted slice.
 func (d *StatsDump) AppendJSON(b []byte) ([]byte, error) {
 	head := *d
 	head.Counters, head.Histograms, head.Tiers = nil, nil, nil
@@ -218,42 +215,14 @@ func (d *StatsDump) AppendJSON(b []byte) ([]byte, error) {
 	}
 	b = append(b, hb[:len(hb)-1]...) // reopen the object
 	if len(d.Counters) > 0 {
-		names := make([]string, 0, len(d.Counters))
-		for name := range d.Counters {
-			names = append(names, name)
-		}
-		slices.Sort(names)
-		b = append(b, `,"counters":{`...)
-		for i, name := range names {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONString(b, name)
-			b = append(b, ':')
-			b = strconv.AppendUint(b, d.Counters[name], 10)
-		}
-		b = append(b, '}')
+		b = append(b, `,"counters":`...)
+		b = d.Counters.AppendJSON(b)
 	}
 	if len(tail) > len("{}") {
 		b = append(b, ',')
 		return append(b, tail[1:]...), nil
 	}
 	return append(b, '}'), nil
-}
-
-// appendJSONString appends s as encoding/json quotes it. Printable ASCII
-// that needs no escaping — every metric name — is copied as is;
-// anything else takes encoding/json's path, HTML escaping included.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
 }
 
 // WriteJSON serializes the dump, indented, with a trailing newline:

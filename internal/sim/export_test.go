@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,14 +85,11 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 	odd := StatsDump{
 		Schema: StatsSchema, Config: "C<2>&\"x\"", Benchmark: "bf\u00e9s\u2028\t",
 		IPC: 1e-7, Cycles: -1,
-		Power: PowerDump{TotalW: 1e21, DynamicW: 123456789.125, ComponentsJ: map[string]float64{"b": 0, "a": -2.5e-9}},
-		Counters: map[string]uint64{
-			"plain": 1, "quote\"d": 2, "back\\slash": 3, "<html>&": 4, "ctl\x01": 5,
-			"utf8-\u00fc": 6, "bad-\xff": 7, "": 8, "max": ^uint64(0),
-		},
+		Power:      PowerDump{TotalW: 1e21, DynamicW: 123456789.125, ComponentsJ: map[string]float64{"b": 0, "a": -2.5e-9}},
+		Counters:   oddCounters(),
 		Histograms: []HistogramDump{{Name: "h", Edges: []int64{1, 2}, Counts: []uint64{0, 3}}},
 	}
-	empty := StatsDump{Counters: map[string]uint64{}}
+	empty := StatsDump{Counters: metrics.Samples{}}
 	for name, d := range map[string]StatsDump{"c2": c2, "stacked": stacked, "bare": bare, "odd": odd, "empty": empty} {
 		want, err := json.Marshal(d)
 		if err != nil {
@@ -107,6 +106,34 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 	nan := StatsDump{IPC: math.NaN()}
 	if _, err := nan.AppendJSON(nil); err == nil {
 		t.Error("AppendJSON encoded a NaN; encoding/json refuses it")
+	}
+}
+
+// oddCounters is a counter set whose names need every kind of JSON
+// escaping. Its encoding must be what encoding/json writes for the
+// same map, which is what the dumps wrote when Counters was one.
+func oddCounters() metrics.Samples {
+	m := map[string]uint64{
+		"plain": 1, "quote\"d": 2, "back\\slash": 3, "<html>&": 4, "ctl\x01": 5,
+		"utf8-\u00fc": 6, "bad-\xff": 7, "": 8, "max": ^uint64(0),
+	}
+	var out metrics.Samples
+	for name, v := range m {
+		out = append(out, metrics.Sample{Name: name, Value: v})
+	}
+	slices.SortFunc(out, func(a, b metrics.Sample) int { return strings.Compare(a.Name, b.Name) })
+	return out
+}
+
+func TestCountersEncodeAsMap(t *testing.T) {
+	c := oddCounters()
+	m := make(map[string]uint64, len(c))
+	for _, x := range c {
+		m[x.Name] = x.Value
+	}
+	want, _ := json.Marshal(m)
+	if got := c.AppendJSON(nil); string(got) != string(want) {
+		t.Errorf("counters encode as\n%s\nencoding/json writes the map as\n%s", got, want)
 	}
 }
 
@@ -130,11 +157,12 @@ func TestStatsDumpCarriesPaperCounters(t *testing.T) {
 		"sim.l2_requests", "l2.bank0.migrations_to_lr", "l2.bank0.refreshes",
 		"l2.bank0.overflow_writebacks", "engine.events_fired", "sm.instructions",
 	} {
-		if _, ok := d.Counters[name]; !ok {
+		if _, ok := d.Counters.Get(name); !ok {
 			t.Errorf("counter %q missing from dump", name)
 		}
 	}
-	if d.Counters["sim.l2_requests"] == 0 {
+	requests, _ := d.Counters.Get("sim.l2_requests")
+	if requests == 0 {
 		t.Error("sim.l2_requests recorded nothing")
 	}
 	found := false
@@ -145,9 +173,9 @@ func TestStatsDumpCarriesPaperCounters(t *testing.T) {
 			for _, c := range h.Counts {
 				total += c
 			}
-			if total+h.Overflow != d.Counters["sim.l2_requests"] {
+			if total+h.Overflow != requests {
 				t.Errorf("latency histogram total %d != request count %d",
-					total+h.Overflow, d.Counters["sim.l2_requests"])
+					total+h.Overflow, requests)
 			}
 		}
 	}

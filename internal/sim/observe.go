@@ -8,7 +8,9 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
+	"sttllc/internal/config"
 	"sttllc/internal/core"
 	"sttllc/internal/gpu"
 	"sttllc/internal/metrics"
@@ -24,28 +26,92 @@ func bankTID(i int) int { return i + 1 }
 // SM issue to reply delivery, DRAM included on miss).
 var l2LatencyEdges = []int64{64, 128, 256, 512, 1024, 2048, 4096}
 
-// registerMetrics publishes the simulator's observable state. Called
-// once from New; the SM aggregates are closures over s.sms, so they
-// survive the per-kernel SM rebuilds of application runs.
-func (s *Simulator) registerMetrics() {
-	if s.reg = s.opts.Metrics; s.reg == nil {
-		s.reg = metrics.NewRegistry(false)
-	}
-	s.tracer = s.opts.Tracer
-	r := s.reg
+// metricShape is what a simulator's metric names depend on: the bank
+// count, the tier kind at each level, and whether the C4 controller
+// registers its counters. Runs of one shape register the same name
+// sequence, so they share one metrics.Table.
+type metricShape struct {
+	banks    int
+	kinds    [maxShapeLevels]config.TierKind
+	adaptive bool
+}
 
+// maxShapeLevels bounds the hierarchies whose tables are cached; a
+// deeper one names its metrics on every run.
+const maxShapeLevels = 4
+
+// maxShapeTables bounds the table cache. Every named configuration and
+// its overrides fit many times over; shapes past the bound name their
+// metrics on every run instead of growing the cache.
+const maxShapeTables = 64
+
+var shapeTables struct {
+	sync.Mutex
+	m map[metricShape]*metrics.Table
+}
+
+// metricShape returns the simulator's shape and whether its table may
+// be cached.
+func (s *Simulator) metricShape() (metricShape, bool) {
+	k := metricShape{banks: len(s.tiers), adaptive: s.cfg.Adaptive.Enabled}
+	if len(s.hier) > maxShapeLevels {
+		return k, false
+	}
+	for i, t := range s.hier {
+		k.kinds[i] = t.Kind
+	}
+	return k, true
+}
+
+// registerMetrics publishes the simulator's observable state into
+// s.reg. A registry supplied by the caller binds the shape's cached
+// name table when there is one, and seeds the cache when there is not;
+// the private disabled registry registers nothing. The SM aggregates
+// are closures over s.sms, so they survive the per-kernel SM rebuilds
+// of application runs.
+func (s *Simulator) registerMetrics() {
+	r := s.reg
+	shape, cacheable := s.metricShape()
+	// Only a registry that starts empty registers exactly the shape's
+	// sequence.
+	cacheable = cacheable && r.Enabled() && r.Len() == 0
+	if cacheable {
+		shapeTables.Lock()
+		r.Bind(shapeTables.m[shape])
+		shapeTables.Unlock()
+	}
 	s.mReq = r.NewCounter("sim.l2_requests")
 	s.mLat = r.NewHistogram("sim.l2_latency_cycles", l2LatencyEdges...)
-	r.RegisterFunc("engine.events_scheduled", func() uint64 { return s.engSched })
-	r.RegisterFunc("engine.events_fired", func() uint64 { return s.engFired })
+	if !r.Enabled() {
+		return
+	}
+	sc := r.Scope()
+	sc.Func("engine.events_scheduled", func() uint64 { return s.engSched })
+	sc.Func("engine.events_fired", func() uint64 { return s.engFired })
 
-	s.spec.RegisterMetrics(r)
+	s.spec.RegisterMetrics(sc)
 	for i, chain := range s.tiers {
 		for ti, t := range chain {
 			// Level-numbered namespaces: single-tier chains keep the
 			// historical l2.bankN names, stacked tiers get l3.bankN etc.
-			t.RegisterMetrics(r, fmt.Sprintf("l%d.bank%d", ti+2, i))
+			t.RegisterMetrics(sc.SubN("l", ti+2).SubN("bank", i))
 		}
+	}
+	if s.cfg.Adaptive.Enabled {
+		// The transition counters live in each two-part L2 bank's stats
+		// struct; Stats() is a stable pointer (ResetStats zeroes in
+		// place), so external registration costs the access path
+		// nothing.
+		for i, b := range s.banks {
+			if tp, ok := b.(*core.TwoPartBank); ok {
+				st, bsc := tp.Stats(), sc.SubN("l2.bank", i)
+				bsc.External("reconfig_threshold", &st.ReconfigThreshold)
+				bsc.External("reconfig_lr_resize", &st.ReconfigLRResize)
+				bsc.External("reconfig_retention", &st.ReconfigRetention)
+				bsc.External("reconfig_demotions", &st.ReconfigDemotions)
+			}
+		}
+		sc.Func("adaptive.epochs", func() uint64 { return s.adapt.epochs })
 	}
 
 	// SM-side aggregates sum over the live SM set at snapshot time.
@@ -58,18 +124,18 @@ func (s *Simulator) registerMetrics() {
 			return t
 		}
 	}
-	r.RegisterFunc("sm.instructions", sumSM(func(st gpu.SMStats) uint64 { return st.Instructions }))
-	r.RegisterFunc("sm.loads", sumSM(func(st gpu.SMStats) uint64 { return st.Loads }))
-	r.RegisterFunc("sm.stores", sumSM(func(st gpu.SMStats) uint64 { return st.Stores }))
-	r.RegisterFunc("sm.store_stalls", sumSM(func(st gpu.SMStats) uint64 { return st.StoreStalls }))
-	r.RegisterFunc("l1.hits", func() uint64 {
+	sc.Func("sm.instructions", sumSM(func(st gpu.SMStats) uint64 { return st.Instructions }))
+	sc.Func("sm.loads", sumSM(func(st gpu.SMStats) uint64 { return st.Loads }))
+	sc.Func("sm.stores", sumSM(func(st gpu.SMStats) uint64 { return st.Stores }))
+	sc.Func("sm.store_stalls", sumSM(func(st gpu.SMStats) uint64 { return st.StoreStalls }))
+	sc.Func("l1.hits", func() uint64 {
 		var t uint64
 		for _, sm := range s.sms {
 			t += sm.L1Stats().Hits()
 		}
 		return t
 	})
-	r.RegisterFunc("l1.misses", func() uint64 {
+	sc.Func("l1.misses", func() uint64 {
 		var t uint64
 		for _, sm := range s.sms {
 			t += sm.L1Stats().Misses()
@@ -77,12 +143,25 @@ func (s *Simulator) registerMetrics() {
 		return t
 	})
 
-	if s.tracer != nil {
-		s.tracer.NameProcess("sttllc " + s.cfg.Name)
-		s.tracer.NameThread(kernelTID, "kernel")
-		for i := range s.banks {
-			s.tracer.NameThread(bankTID(i), fmt.Sprintf("l2.bank%d", i))
+	if cacheable {
+		t := r.Table() // for a bound registry, checks it reached the table's end
+		shapeTables.Lock()
+		if shapeTables.m == nil {
+			shapeTables.m = make(map[metricShape]*metrics.Table)
 		}
+		if _, ok := shapeTables.m[shape]; !ok && len(shapeTables.m) < maxShapeTables {
+			shapeTables.m[shape] = t
+		}
+		shapeTables.Unlock()
+	}
+}
+
+// nameTracks labels the tracer's process and tracks.
+func (s *Simulator) nameTracks() {
+	s.tracer.NameProcess("sttllc " + s.cfg.Name)
+	s.tracer.NameThread(kernelTID, "kernel")
+	for i := range s.banks {
+		s.tracer.NameThread(bankTID(i), fmt.Sprintf("l2.bank%d", i))
 	}
 }
 

@@ -54,13 +54,16 @@ func RecordAppContext(ctx context.Context, cfg config.GPUConfig, app workloads.A
 		Config:       cfg.Name,
 	}
 	opts.TraceSink = func(r trace.Record) { rec.Records = append(rec.Records, r) }
-	ar, err := runAppContext(ctx, cfg, app, opts, func(s *Simulator) {
-		s.onKernelLaunch = func(name string, now int64) {
-			rec.Phases = append(rec.Phases, trace.Phase{
-				Name: name, Index: len(rec.Records), Cycle: now,
-			})
-		}
-	})
+	if len(app.Kernels) == 0 {
+		panic("sim: application has no kernels")
+	}
+	s := New(cfg, app.Kernels[0], opts)
+	s.onKernelLaunch = func(name string, now int64) {
+		rec.Phases = append(rec.Phases, trace.Phase{
+			Name: name, Index: len(rec.Records), Cycle: now,
+		})
+	}
+	ar, err := s.RunAppContext(ctx, app)
 	rec.EndCycle = ar.Cycles
 	return ar, rec, err
 }

@@ -42,10 +42,11 @@ type Options struct {
 	// effects.
 	WarmupInstructions uint64
 	// Metrics, when non-nil, is the registry the simulator publishes its
-	// counters into (see DumpStats). Each simulation needs its own
-	// registry — metric names are global within one. When nil, the
-	// simulator creates a private disabled registry: the instrumented
-	// paths still run, but record nothing and cost no allocations.
+	// counters into (see DumpStats). Each simulation — each New or
+	// Reset — needs its own empty registry: metric names are global
+	// within one. When nil, the simulator uses a private disabled
+	// registry: the instrumented paths still run, but record nothing
+	// and cost no allocations.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, receives the run's timeline — kernel phases,
 	// bank refresh/expiry windows, swap-buffer overflow drains, DRAM
@@ -106,7 +107,7 @@ type Simulator struct {
 	onWarmupReset  func(now int64)
 	onKernelLaunch func(name string, now int64)
 
-	// Observability (see observe.go). reg is never nil after New; mReq
+	// Observability (see observe.go). reg is never nil after Reset; mReq
 	// and mLat are live handles even when it is disabled.
 	reg    *metrics.Registry
 	tracer *metrics.Tracer
@@ -120,49 +121,96 @@ type Simulator struct {
 	// drives once per kernel).
 	engSched uint64
 	engFired uint64
+
+	// Reuse state (see Reset): the shapes the memory system and the NoC
+	// were built for, the two drive engines, and the private disabled
+	// registry used when Options.Metrics is nil.
+	mem    memShape
+	noc    nocShape
+	eng    *engine.Engine
+	timers *engine.Engine
+	bare   *metrics.Registry
 }
 
-// New builds a simulator for the configuration and workload.
+// memShape is everything the banks' tier chains and DRAM controllers
+// are built from. Reset keeps the chains, resetting each tier in place,
+// while it is unchanged.
+type memShape struct {
+	clockHz        float64
+	banks          int
+	lineBytes      int
+	l2             config.L2Spec
+	l3             config.L3Spec
+	dram           config.DRAMSpec
+	writeVariation bool
+}
+
+// nocShape is what the two NoC halves are built from.
+type nocShape struct {
+	sms, banks int
+	stage      int64
+}
+
+// New builds a simulator for the configuration and workload: Reset on
+// an empty Simulator.
 func New(cfg config.GPUConfig, spec workloads.Spec, opts Options) *Simulator {
-	s := &Simulator{
-		cfg:      cfg,
-		spec:     spec,
-		opts:     opts,
-		banks:    make([]core.Bank, cfg.NumBanks),
-		mcs:      make([]*dram.Controller, cfg.NumBanks),
-		reqNet:   interconnect.New(cfg.NumSMs, cfg.NumBanks, cfg.NoCStageCycles),
-		replyNet: interconnect.New(cfg.NumBanks, cfg.NumSMs, cfg.NoCStageCycles),
-		lineMask: uint64(cfg.LineBytes - 1),
-	}
-	s.check = opts.InvariantCheck
-	if s.check == nil {
-		s.check = defaultInvariantCheck
-	}
-	s.lineShift = uint(bits.TrailingZeros(uint(cfg.LineBytes)))
-	s.router = newBankRouter(cfg.NumBanks)
+	s := new(Simulator)
+	s.Reset(cfg, spec, opts)
+	return s
+}
+
+// Reset rebuilds s for a new run of spec on cfg. Afterwards s runs
+// exactly as New(cfg, spec, opts) would — same results, same dump bytes
+// — but components whose shape already fits are reset in place instead
+// of reallocated: the SMs with their caches, the NoC halves, the drive
+// engines, and the banks' tier chains with their DRAM controllers when
+// the memory system is unchanged. Results of earlier runs stay valid;
+// a registry from an earlier run reads the simulator live and must not
+// be snapshotted after a Reset.
+func (s *Simulator) Reset(cfg config.GPUConfig, spec workloads.Spec, opts Options) {
 	hier, err := cfg.Hierarchy()
 	if err != nil {
 		panic(err)
 	}
-	s.hier = hier
-	s.tiers = make([][]core.Tier, cfg.NumBanks)
-	for i := range s.banks {
-		s.mcs[i] = cfg.NewDRAM()
-		chain, err := cfg.NewTiers(s.mcs[i])
-		if err != nil {
-			panic(err)
-		}
-		s.tiers[i] = chain
-		s.banks[i] = chain[0]
-		for _, t := range chain {
-			s.flat = append(s.flat, t)
-			if opts.EnableWriteVariation {
-				if wv, ok := t.(core.WriteVariationEnabler); ok {
-					wv.EnableWriteVariation()
-				}
-			}
-		}
+	old := *s
+	*s = Simulator{
+		cfg:       cfg,
+		spec:      spec,
+		opts:      opts,
+		hier:      hier,
+		lineMask:  uint64(cfg.LineBytes - 1),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		router:    newBankRouter(cfg.NumBanks),
+		check:     opts.InvariantCheck,
+		sms:       old.sms[:0],
+		eng:       old.eng,
+		timers:    old.timers,
+		bare:      old.bare,
 	}
+	if s.check == nil {
+		s.check = defaultInvariantCheck
+	}
+
+	s.mem = memShape{cfg.ClockHz, cfg.NumBanks, cfg.LineBytes, cfg.L2, cfg.L3, cfg.DRAM, opts.EnableWriteVariation}
+	if old.tiers != nil && old.mem == s.mem {
+		s.banks, s.tiers, s.flat, s.mcs = old.banks, old.tiers, old.flat, old.mcs
+		for _, t := range s.flat {
+			t.Reset() // a chain's bottom tier also resets its DRAM controller
+		}
+	} else {
+		s.buildMemory()
+	}
+
+	s.noc = nocShape{cfg.NumSMs, cfg.NumBanks, cfg.NoCStageCycles}
+	if old.reqNet != nil && old.noc == s.noc {
+		s.reqNet, s.replyNet = old.reqNet, old.replyNet
+		s.reqNet.Reset()
+		s.replyNet.Reset()
+	} else {
+		s.reqNet = interconnect.New(cfg.NumSMs, cfg.NumBanks, cfg.NoCStageCycles)
+		s.replyNet = interconnect.New(cfg.NumBanks, cfg.NumSMs, cfg.NoCStageCycles)
+	}
+
 	if !opts.skipSMs {
 		s.buildSMs(spec)
 	} else {
@@ -175,23 +223,70 @@ func New(cfg config.GPUConfig, spec workloads.Spec, opts Options) *Simulator {
 		// here exactly as buildSMs would.
 		s.resident = gpu.ResidentWarps(s.cfg.SM, spec.RegsPerThread, spec.ThreadsPerBlock)
 	}
+
+	if s.reg = opts.Metrics; s.reg == nil {
+		if s.bare == nil {
+			s.bare = metrics.NewRegistry(false)
+		}
+		s.reg = s.bare
+	}
+	if s.tracer = opts.Tracer; s.tracer != nil {
+		s.nameTracks()
+	}
 	s.registerMetrics()
 	if cfg.Adaptive.Enabled {
 		s.adapt = newAdaptiveController(s)
 	}
-	return s
 }
 
-// buildSMs constructs fresh SMs for a kernel launch; the memory system
-// (banks, NoC, DRAM) keeps its state, which is what lets multi-kernel
-// applications observe inter-kernel L2 reuse.
+// buildMemory constructs every bank's tier chain on its own DRAM
+// controller.
+func (s *Simulator) buildMemory() {
+	n := s.cfg.NumBanks
+	s.banks = make([]core.Bank, n)
+	s.mcs = make([]*dram.Controller, n)
+	s.tiers = make([][]core.Tier, n)
+	s.flat = make([]core.Bank, 0, n*len(s.hier))
+	for i := range s.banks {
+		s.mcs[i] = s.cfg.NewDRAM()
+		chain, err := s.cfg.NewTiers(s.mcs[i])
+		if err != nil {
+			panic(err)
+		}
+		s.tiers[i] = chain
+		s.banks[i] = chain[0]
+		for _, t := range chain {
+			s.flat = append(s.flat, t)
+			if s.opts.EnableWriteVariation {
+				if wv, ok := t.(core.WriteVariationEnabler); ok {
+					wv.EnableWriteVariation()
+				}
+			}
+		}
+	}
+}
+
+// buildSMs loads fresh SMs for a kernel launch, resetting the ones a
+// previous launch or run left behind; the memory system (banks, NoC,
+// DRAM) keeps its state, which is what lets multi-kernel applications
+// observe inter-kernel L2 reuse.
 func (s *Simulator) buildSMs(spec workloads.Spec) {
 	s.spec = spec
 	s.resident = gpu.ResidentWarps(s.cfg.SM, spec.RegsPerThread, spec.ThreadsPerBlock)
 	model := spec.Model()
-	s.sms = make([]*gpu.SM, s.cfg.NumSMs)
-	for i := range s.sms {
-		s.sms[i] = gpu.NewSM(i, s.cfg.SM, model, s, s.resident, i*spec.WarpsPerSM, spec.WarpsPerSM)
+	n := s.cfg.NumSMs
+	if cap(s.sms) < n {
+		grown := make([]*gpu.SM, n)
+		copy(grown, s.sms[:cap(s.sms)])
+		s.sms = grown
+	}
+	s.sms = s.sms[:n]
+	for i, sm := range s.sms {
+		if sm == nil {
+			s.sms[i] = gpu.NewSM(i, s.cfg.SM, model, s, s.resident, i*spec.WarpsPerSM, spec.WarpsPerSM)
+		} else {
+			sm.Reset(s.cfg.SM, model, s, s.resident, i*spec.WarpsPerSM, spec.WarpsPerSM)
+		}
 	}
 }
 
@@ -399,8 +494,7 @@ func (s *Simulator) drive(start int64, warmupBudget uint64) (boundary, end int64
 		s.cancelled = true
 		return start, start
 	}
-	eng := engine.New(start)
-	timers := engine.New(start)
+	eng, timers := s.engines(start)
 	// obsSched/obsFired count the observer ticks' events so they can be
 	// subtracted from the engine totals below, like the cancellation
 	// poll's: a bank catches up on its next access anyway, so audited,
@@ -652,6 +746,17 @@ func (s *Simulator) drive(start int64, warmupBudget uint64) (boundary, end int64
 	return boundary, now
 }
 
+// engines returns the SM and timer engines, reset to start.
+func (s *Simulator) engines(start int64) (eng, timers *engine.Engine) {
+	if s.eng == nil {
+		s.eng, s.timers = engine.New(start), engine.New(start)
+	} else {
+		s.eng.Reset(start)
+		s.timers.Reset(start)
+	}
+	return s.eng, s.timers
+}
+
 // warmupReset applies the warmup boundary at cycle now, in live runs and
 // replays alike: retention scans due strictly before the boundary land
 // in the warmup window, then every statistic resets in place while
@@ -891,32 +996,22 @@ func (s *Simulator) bankTotals() (accesses, hits uint64) {
 // back-to-back on the same memory system, so the L2 contents written by
 // one kernel are visible to the next.
 func RunApp(cfg config.GPUConfig, app workloads.App, opts Options) AppResult {
-	ar, _ := RunAppContext(context.Background(), cfg, app, opts)
-	return ar
-}
-
-// RunAppContext is RunApp with cancellation: a cancelled ctx stops the
-// in-flight kernel at its next periodic cancellation check and launches
-// no further kernels. The returned AppResult covers everything that ran
-// (the interrupted kernel's row included, partially filled); the error
-// is ctx's error, or nil if every kernel completed.
-func RunAppContext(ctx context.Context, cfg config.GPUConfig, app workloads.App, opts Options) (AppResult, error) {
-	return runAppContext(ctx, cfg, app, opts, nil)
-}
-
-// runAppContext is the shared application driver; setup, when non-nil,
-// configures the freshly built Simulator before the first kernel
-// launches (RecordAppContext hangs its recording hooks there).
-func runAppContext(ctx context.Context, cfg config.GPUConfig, app workloads.App, opts Options, setup func(*Simulator)) (AppResult, error) {
 	if len(app.Kernels) == 0 {
 		panic("sim: application has no kernels")
 	}
-	s := New(cfg, app.Kernels[0], opts)
+	ar, _ := New(cfg, app.Kernels[0], opts).RunAppContext(context.Background(), app)
+	return ar
+}
+
+// RunAppContext executes a multi-kernel application like RunApp, on s
+// as New or Reset built it for app.Kernels[0]. A cancelled ctx stops
+// the in-flight kernel at its next periodic cancellation check and
+// launches no further kernels. The returned AppResult covers everything
+// that ran (the interrupted kernel's row included, partially filled);
+// the error is ctx's error, or nil if every kernel completed.
+func (s *Simulator) RunAppContext(ctx context.Context, app workloads.App) (AppResult, error) {
 	s.ctx = ctx
-	if setup != nil {
-		setup(s)
-	}
-	ar := AppResult{App: app.Name, Config: cfg.Name}
+	ar := AppResult{App: app.Name, Config: s.cfg.Name}
 	now := int64(0)
 	for ki, spec := range app.Kernels {
 		if ki > 0 {

@@ -174,6 +174,9 @@ func NewWriteVariation(sets, ways int) *WriteVariation {
 	return &WriteVariation{sets: sets, ways: ways, counts: make([]uint64, sets*ways)}
 }
 
+// Reset zeroes every count, keeping the dimensions.
+func (w *WriteVariation) Reset() { clear(w.counts) }
+
 // Sets returns the tracked set count.
 func (w *WriteVariation) Sets() int { return w.sets }
 

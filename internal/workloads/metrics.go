@@ -6,12 +6,11 @@ import "sttllc/internal/metrics"
 // gauges, so a stats dump is self-describing: the counters it carries
 // can be normalized (per instruction, per byte of footprint) without
 // consulting the suite table that produced them.
-func (s Spec) RegisterMetrics(r *metrics.Registry) {
-	set := func(name string, v uint64) { r.NewGauge(name).Set(v) }
-	set("workload.footprint_bytes", s.FootprintBytes)
-	set("workload.wws_bytes", s.WWSBytes)
-	set("workload.warps_per_sm", uint64(s.WarpsPerSM))
-	set("workload.instr_per_warp", uint64(s.InstrPerWarp))
-	set("workload.grids", uint64(s.Grids))
-	set("workload.region", uint64(s.Region))
+func (s Spec) RegisterMetrics(sc metrics.Scope) {
+	sc.Gauge("workload.footprint_bytes").Set(s.FootprintBytes)
+	sc.Gauge("workload.wws_bytes").Set(s.WWSBytes)
+	sc.Gauge("workload.warps_per_sm").Set(uint64(s.WarpsPerSM))
+	sc.Gauge("workload.instr_per_warp").Set(uint64(s.InstrPerWarp))
+	sc.Gauge("workload.grids").Set(uint64(s.Grids))
+	sc.Gauge("workload.region").Set(uint64(s.Region))
 }
