@@ -367,14 +367,39 @@ func (m *mshr) insert(addr uint64, done int64) {
 	}
 }
 
-// rebuild rehashes the live entries into a table sized for them,
-// dropping tombstones and entries that expired before the latest
-// lookup (they already behave as absent, so this changes no observable
-// behavior).
+// mshrMaxCap is the table size past which rebuilds stop growing the
+// table for every entry it holds: 4096 slots (96 KiB).
+const mshrMaxCap = 1 << 12
+
+// rebuild rehashes the live entries into a fresh table, dropping
+// tombstones and entries that completed by the latest lookup. A bank
+// looks up at strictly increasing cycles (its front end issues one
+// request per cycle, and a miss always pays the same probe cost), so
+// such an entry is absent for every later lookup too: dropping it
+// changes no observable behavior.
+//
+// Most entries are such fills, completed without ever being looked up
+// again. Sizing the new table for every entry at half load doubles it
+// at each rebuild, which keeps rebuilds rare. Past mshrMaxCap it is
+// sized for the fills still in flight instead, and never shrinks, so
+// the table stops growing with the number of misses a bank has seen
+// and the spare slab is reused.
 func (m *mshr) rebuild() {
+	n := m.live
+	if (n+1)*4 > mshrMaxCap*2 {
+		n = 0
+		for _, s := range m.slots {
+			if s.state == 1 && s.done > m.lastSeen {
+				n++
+			}
+		}
+	}
 	capNew := mshrMinCap
-	for capNew*2 < (m.live+1)*4 { // target <= 50% load after rebuild
+	for capNew*2 < (n+1)*4 { // target <= 50% load after rebuild
 		capNew *= 2
+	}
+	if n < m.live {
+		capNew = max(capNew, len(m.slots))
 	}
 	old := m.slots
 	if cap(m.spare) >= capNew {

@@ -70,14 +70,52 @@ func (n *Network) checkOutput(output int) {
 // serialization (one transfer per port per cycle).
 func (n *Network) Deliver(now int64, output int) int64 {
 	n.checkOutput(output)
-	arrival := now + n.BaseLatency()
-	if nf := n.nextFree[output]; arrival < nf {
-		n.Stats.QueueCycles += uint64(nf - arrival)
+	return serialize(now+n.latency, &n.nextFree[output], &n.Stats)
+}
+
+// serialize delays a transfer arriving at cycle arrival until its port
+// is free and occupies the port for one cycle.
+func serialize(arrival int64, nextFree *int64, st *Stats) int64 {
+	if nf := *nextFree; arrival < nf {
+		st.QueueCycles += uint64(nf - arrival)
 		arrival = nf
 	}
-	n.nextFree[output] = arrival + 1
-	n.Stats.Transfers++
+	*nextFree = arrival + 1
+	st.Transfers++
 	return arrival
+}
+
+// Port is one output port of a Network detached from it, so that one
+// goroutine can drive that port's traffic while others drive other
+// ports, without any of them writing the shared Network. Its Stats
+// count only the transfers delivered through the Port.
+type Port struct {
+	latency  int64
+	nextFree int64
+	Stats    Stats
+}
+
+// Port detaches output's serialization state. Deliver on the Port then
+// behaves exactly as Deliver on the Network would for that output, and
+// MergePort folds the result back.
+func (n *Network) Port(output int) Port {
+	n.checkOutput(output)
+	return Port{latency: n.latency, nextFree: n.nextFree[output]}
+}
+
+// Deliver is Network.Deliver for the detached port.
+func (p *Port) Deliver(now int64) int64 {
+	return serialize(now+p.latency, &p.nextFree, &p.Stats)
+}
+
+// MergePort writes a detached port's state back to output and adds its
+// statistics to the network's. Ports detached from distinct outputs
+// may be merged in any order.
+func (n *Network) MergePort(output int, p Port) {
+	n.checkOutput(output)
+	n.nextFree[output] = p.nextFree
+	n.Stats.Transfers += p.Stats.Transfers
+	n.Stats.QueueCycles += p.Stats.QueueCycles
 }
 
 // DeliverUncontended sends one transfer entering at cycle now toward the

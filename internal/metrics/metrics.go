@@ -377,6 +377,22 @@ func (h *Histogram) Observe(v int64) {
 	*h.over++
 }
 
+// Local returns an unregistered histogram with h's buckets (none, if h
+// belongs to a disabled registry) for one goroutine to fill privately
+// and then add into h with Merge.
+func (h *Histogram) Local() *Histogram {
+	s := make([]uint64, len(h.edges)+1)
+	return &Histogram{name: h.name, edges: h.edges, counts: s[:len(h.edges)], over: &s[len(h.edges)]}
+}
+
+// Merge adds the counts of l, a histogram from h.Local, into h.
+func (h *Histogram) Merge(l *Histogram) {
+	for i, c := range l.counts {
+		h.counts[i] += c
+	}
+	*h.over += *l.over
+}
+
 // Name returns the histogram's registered name.
 func (h *Histogram) Name() string { return h.name }
 

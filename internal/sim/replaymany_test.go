@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -83,8 +85,11 @@ func TestReplayManyBitIdenticalWithWarmup(t *testing.T) {
 		opts := Options{WarmupInstructions: budget}
 		for _, cfg := range []config.GPUConfig{config.C1(), config.C2L3(), config.C4()} {
 			live, rec := Record(cfg, spec, opts)
+			// The boundary falls strictly inside the stream, or, for a
+			// budget the workload retires inside, after its last record.
 			inside := rec.WarmupIndex > 0 && rec.WarmupIndex < len(rec.Records)
-			if !rec.Warmed() || inside != (budget < cold.Instructions) {
+			atEnd := rec.WarmupIndex == len(rec.Records)
+			if !rec.Warmed() || inside != (budget < cold.Instructions) || atEnd == inside {
 				t.Fatalf("%s/%d: warmup boundary at index %d of %d",
 					cfg.Name, budget, rec.WarmupIndex, len(rec.Records))
 			}
@@ -134,6 +139,80 @@ func TestReplayManyMatchesIndependentReplays(t *testing.T) {
 			t.Errorf("%s: ReplayMany differs from a solo replay\n got %s\nwant %s", cfg.Name, got, want)
 		}
 	}
+}
+
+// mixedShapeConfigs are three memory-system shapes ReplayMany must
+// split separately: the paper's six banks, a power-of-two bank count,
+// and a second line size.
+func mixedShapeConfigs() []config.GPUConfig {
+	eight := config.BaselineSRAM()
+	eight.Name = "baseline-SRAM-8bank"
+	eight.NumBanks = 8
+	eight.L2.TotalBytes = 512 << 10
+	short := config.BaselineSRAM()
+	short.Name = "baseline-SRAM-128B"
+	short.LineBytes = 128
+	return []config.GPUConfig{config.C1(), eight, short}
+}
+
+func TestReplayManyMixedShapes(t *testing.T) {
+	// One call that needs three splits of the stream: each
+	// configuration's entry must match its own recording run
+	// byte-for-byte, and every entry must match a solo replay.
+	spec := sweepSpec()
+	cfgs := mixedShapeConfigs()
+	for i, cfg := range cfgs {
+		live, rec := Record(cfg, spec, Options{})
+		reps := ReplayMany(rec, cfgs)
+		if got, want := bankSide(t, reps[i].Dump()), bankSide(t, live.Dump()); got != want {
+			t.Errorf("%s: mixed-shape replay differs from its recording run\n got %s\nwant %s", cfg.Name, got, want)
+		}
+		for k, other := range cfgs {
+			solo := ReplayMany(rec, []config.GPUConfig{other})[0]
+			if got, want := bankSide(t, reps[k].Dump()), bankSide(t, solo.Dump()); got != want {
+				t.Errorf("%s recording into %s: mixed-shape replay differs from a solo replay", cfg.Name, other.Name)
+			}
+		}
+	}
+}
+
+func TestReplayManyIndependentOfWorkers(t *testing.T) {
+	// Tasks run on one worker per core, in any interleaving; the
+	// results must not depend on either.
+	_, rec := Record(config.C2(), sweepSpec(), Options{})
+	cfgs := append(sweepConfigs(), mixedShapeConfigs()...)
+	var want []string
+	for _, procs := range []int{1, 2, 3, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		rs := ReplayMany(rec, cfgs)
+		runtime.GOMAXPROCS(prev)
+		for i, r := range rs {
+			got := bankSide(t, r.Dump())
+			if procs == 1 {
+				want = append(want, got)
+			} else if got != want[i] {
+				t.Errorf("GOMAXPROCS=%d: %s differs from GOMAXPROCS=1", procs, cfgs[i].Name)
+			}
+		}
+	}
+}
+
+func TestReplayManyOutOfRangeSMPanics(t *testing.T) {
+	// A record naming an SM the configuration lacks fails as the reply
+	// network's bounds check always has, before any replay starts.
+	cfg := config.C1()
+	rec := &trace.Recording{Records: []trace.Record{
+		{Cycle: 1, Addr: 0x1000, SM: 3},
+		{Cycle: 2, Addr: 0x2000, SM: uint8(cfg.NumSMs + 2)},
+		{Cycle: 3, Addr: 0x3000, SM: uint8(cfg.NumSMs)},
+	}}
+	want := fmt.Sprintf("interconnect: output %d out of range [0,%d)", cfg.NumSMs+2, cfg.NumSMs)
+	defer func() {
+		if r := recover(); r == nil || fmt.Sprint(r) != want {
+			t.Errorf("panic = %v, want %q", r, want)
+		}
+	}()
+	ReplayMany(rec, []config.GPUConfig{config.BaselineSRAM(), cfg})
 }
 
 func TestReplayManyAnonymousAndEmpty(t *testing.T) {
@@ -193,32 +272,92 @@ func TestConcurrentReplaysShareOneRecording(t *testing.T) {
 }
 
 func TestReplayManySteadyStateAllocFree(t *testing.T) {
-	// The fan-out hot loop — Access per record, per config — must not
-	// allocate once the banks reach steady state.
+	// The per-bank feed loop — request port, tier chain, latency
+	// histogram — must not allocate once the banks reach steady state.
 	cfgs := []config.GPUConfig{config.C1(), config.C2()}
-	reps := make([]*replayer, len(cfgs))
-	rec := &trace.Recording{}
+	feeds := make([]bankFeed, len(cfgs))
 	for i, cfg := range cfgs {
-		reps[i] = newReplayer(cfg, rec)
+		feeds[i] = newReplaySimulator(cfg, "replay").newBankFeed(0)
 	}
-	// A small resident working set plus one streaming address per round:
-	// hits, misses, fills, and retention scans all reach steady state
-	// during warm-up.
+	// A small resident working set: hits, misses, fills, and retention
+	// scans all reach steady state during warm-up.
 	const lines = 64
+	run := make([]bankRecord, lines)
 	var now int64
 	feedRound := func() {
-		for k := 0; k < lines; k++ {
+		for k := range run {
 			now += 7
-			r := trace.Record{Cycle: now, Addr: uint64(k%lines) << 7, SM: uint8(k % 8), Write: k%3 == 0}
-			for _, rep := range reps {
-				rep.s.Access(r.Cycle, int(r.SM), r.Addr, r.Write)
+			run[k] = bankRecord{cycle: now, key: uint64(k) << 1}
+			if k%3 == 0 {
+				run[k].key |= 1
 			}
+		}
+		for i := range feeds {
+			feeds[i].feed(run)
 		}
 	}
 	for w := 0; w < 50; w++ {
 		feedRound()
 	}
 	if avg := testing.AllocsPerRun(100, feedRound); avg != 0 {
-		t.Errorf("replay fan-out allocates %v per round, want 0", avg)
+		t.Errorf("bank feed allocates %v per round, want 0", avg)
+	}
+}
+
+func TestReplayManyAllocsIndependentOfLength(t *testing.T) {
+	// A whole call allocates per configuration and per bank, never per
+	// record: once a stream is long enough to have touched its lines
+	// and filled its banks' tables, a stream 16 times longer allocates
+	// the same.
+	cfgs := sweepConfigs()
+	stream := func(n int) *trace.Recording {
+		rec := &trace.Recording{Records: make([]trace.Record, n)}
+		for i := range rec.Records {
+			rec.Records[i] = trace.Record{Cycle: int64(4 * i), Addr: uint64(i%512) << 8, SM: uint8(i % 15), Write: i%3 == 0}
+		}
+		return rec
+	}
+	short, long := stream(1<<12), stream(1<<16)
+	a := testing.AllocsPerRun(5, func() { ReplayMany(short, cfgs) })
+	b := testing.AllocsPerRun(5, func() { ReplayMany(long, cfgs) })
+	if b > a+4 {
+		t.Errorf("ReplayMany allocates %v times for %d records and %v for %d", a, len(short.Records), b, len(long.Records))
+	}
+}
+
+// benchRecording records one suite benchmark under baseline-SRAM, once
+// per test binary.
+var benchRecording = sync.OnceValue(func() *trace.Recording {
+	spec, _ := workloads.ByName("hotspot")
+	_, rec := Record(config.BaselineSRAM(), spec.Scale(1), Options{})
+	return rec
+})
+
+// BenchmarkReplayMany replays one recorded suite benchmark into one
+// configuration and into the eight of perfbench's replay-sweep: the
+// paper's five, both stacked-L3 variants, and C1 with write threshold 3.
+// ns/access is host time per replayed access, summed over configurations.
+func BenchmarkReplayMany(b *testing.B) {
+	wt := config.C1()
+	wt.Name = "C1-wt3"
+	wt.L2.WriteThreshold = 3
+	eight := append(config.All(), config.C1L3(), config.C2L3(), wt)
+	for _, tc := range []struct {
+		name string
+		cfgs []config.GPUConfig
+	}{
+		{"K=1", eight[2:3]},
+		{"K=8", eight},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			rec := benchRecording()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ReplayMany(rec, tc.cfgs)
+			}
+			accesses := float64(b.N) * float64(len(rec.Records)) * float64(len(tc.cfgs))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/accesses, "ns/access")
+		})
 	}
 }

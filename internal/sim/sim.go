@@ -234,7 +234,8 @@ func (s *Simulator) Reset(cfg config.GPUConfig, spec workloads.Spec, opts Option
 		s.nameTracks()
 	}
 	s.registerMetrics()
-	if cfg.Adaptive.Enabled {
+	if cfg.Adaptive.Enabled && !opts.skipSMs {
+		// Replays run no controller (see replaymany.go).
 		s.adapt = newAdaptiveController(s)
 	}
 }
@@ -765,16 +766,25 @@ func (s *Simulator) warmupReset(now int64) {
 	for _, sm := range s.sms {
 		sm.ResetStats()
 	}
-	for _, b := range s.flat {
-		b.Tick(now - 1)
-		b.ResetStats()
-		b.RebaseRewriteClock(now)
+	for b := range s.tiers {
+		s.warmupResetBank(b, now)
 	}
 	if s.adapt != nil {
 		s.adapt.rebase()
 	}
 	if s.onWarmupReset != nil {
 		s.onWarmupReset(now)
+	}
+}
+
+// warmupResetBank applies the warmup boundary to bank b's tier chain
+// alone. Banks share no state, so a replay resets each bank where its
+// own stream crosses the boundary.
+func (s *Simulator) warmupResetBank(b int, now int64) {
+	for _, t := range s.tiers[b] {
+		t.Tick(now - 1)
+		t.ResetStats()
+		t.RebaseRewriteClock(now)
 	}
 }
 
