@@ -8,14 +8,19 @@
 // write-through vs. write-back — belong to the owners in internal/core
 // and internal/gpu.
 //
-// The array is laid out data-oriented: a contiguous tag slab and per-set
-// valid/dirty bitmasks (all carved from one allocation) form the hot
-// path — Probe is a compare loop over packed tag words gated by the
-// valid mask — while the cold per-line metadata (LRU/fill stamps, write
-// counters, retention stamps, wear) lives in one parallel slab touched
-// only on hits and fills. The whole array costs three allocations,
-// because the evaluation harness builds thousands of short-lived caches
-// and construction churn was a measured GC burden.
+// The array is laid out data-oriented. Each set's hot state is one
+// record of consecutive words in a single slab: the valid bitmask words,
+// the dirty bitmask words, the tags and the LRU use stamps. A 7-way set
+// is 16 words, two CPU cache lines, so a probe, a victim choice and a
+// fill touch one place instead of four. Probe compares every tag of the
+// set into a match bitmask and gates it by the valid word; the LRU
+// victim is a branch-free minimum over the record's stamps. The cold
+// per-line metadata (FIFO fill stamps, write counters, retention stamps,
+// wear) lives apart, in slabs of 64 sets that are allocated on the first
+// fill into them, because the evaluation harness and the service build
+// thousands of short-lived caches whose workloads touch only a fraction
+// of the sets. A fresh array costs three allocations plus one per
+// touched group.
 package cache
 
 import (
@@ -43,8 +48,8 @@ type Line struct {
 	// written — program writes, fills, and refreshes all reset it. The
 	// retention clock of STT-RAM expiry checks runs from here.
 	RetentionStamp int64
-	// lru is a per-set monotonically increasing use stamp; smallest is
-	// the LRU victim.
+	// lru is the use stamp, taken from a cache-wide counter on every hit
+	// and fill; the smallest in a set is the LRU victim.
 	lru uint64
 	// fill is the stamp at allocation time, for FIFO replacement.
 	fill uint64
@@ -120,7 +125,7 @@ func (p Policy) String() string {
 }
 
 // coldLine is the per-line cold metadata. It is off the probe path:
-// Probe touches only the tag slab and valid masks.
+// Probe touches only the set's record.
 type coldLine struct {
 	fill      uint64
 	lastWrite int64
@@ -152,14 +157,16 @@ type Cache struct {
 	tagShift uint // log2(sets)
 	setMask  uint64
 
-	// Hot slabs, all subslices of one backing allocation: tags is the
-	// packed per-set tag words (sets*Ways, contiguous), valid/dirty are
-	// per-set way bitmasks of maskWords words each. lastMask covers the
-	// valid way bits of the final (possibly partial) mask word.
-	tags      []uint64
-	valid     []uint64
-	dirty     []uint64
-	lru       []uint64 // per-line use stamps; hot because read hits bump them
+	// rec holds one record of recWords words per set, laid out as
+	// [valid words | dirty words | tags | use stamps]: maskWords valid
+	// and dirty bitmask words (bit b of word wi is way wi*64+b), then
+	// Ways tags from word tagOff, then Ways LRU use stamps from word
+	// stampOff. lastMask covers the way bits of the final (possibly
+	// partial) mask word.
+	rec       []uint64
+	recWords  int
+	tagOff    int
+	stampOff  int
 	maskWords int
 	lastMask  uint64
 
@@ -223,7 +230,7 @@ func New(capacityBytes, ways, lineBytes int) *Cache {
 	if ts := uint(bits.TrailingZeros(uint(sets))); ts < gs {
 		gs = ts
 	}
-	hot := make([]uint64, 2*sets*ways+2*sets*mw)
+	rw := 2*mw + 2*ways
 	c := &Cache{
 		CapacityBytes: capacityBytes,
 		Ways:          ways,
@@ -232,10 +239,10 @@ func New(capacityBytes, ways, lineBytes int) *Cache {
 		setShift:      uint(bits.TrailingZeros(uint(lineBytes))),
 		tagShift:      uint(bits.TrailingZeros(uint(sets))),
 		setMask:       uint64(sets - 1),
-		tags:          hot[: sets*ways : sets*ways],
-		valid:         hot[sets*ways : sets*ways+sets*mw : sets*ways+sets*mw],
-		dirty:         hot[sets*ways+sets*mw : sets*ways+2*sets*mw : sets*ways+2*sets*mw],
-		lru:           hot[sets*ways+2*sets*mw:],
+		rec:           make([]uint64, sets*rw),
+		recWords:      rw,
+		tagOff:        2 * mw,
+		stampOff:      2*mw + ways,
 		maskWords:     mw,
 		lastMask:      last,
 		cold:          make([][]coldLine, sets>>gs),
@@ -272,17 +279,16 @@ func (c *Cache) BlockAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.LineBytes) - 1)
 }
 
-// wordMask returns the valid-way mask of mask word wi.
-func (c *Cache) wordMask(wi int) uint64 {
-	if wi == c.maskWords-1 {
-		return c.lastMask
-	}
-	return ^uint64(0)
+// record returns the set's record.
+func (c *Cache) record(set int) []uint64 {
+	base := set * c.recWords
+	return c.rec[base : base+c.recWords : base+c.recWords]
 }
 
-// bitAt reports whether way's bit is set in the per-set bitmask slab.
-func bitAt(slab []uint64, base, way int) bool {
-	return slab[base+way>>6]&(1<<uint(way&63)) != 0
+// bitAt reports whether way's bit is set in the bitmask words starting
+// at word off of the record r.
+func bitAt(r []uint64, off, way int) bool {
+	return r[off+way>>6]&(1<<uint(way&63)) != 0
 }
 
 // coldAt returns the metadata slot of (set, way). The group must exist,
@@ -306,21 +312,29 @@ func (c *Cache) coldEnsure(set, way int) *coldLine {
 // no stats). It returns the way and whether it hit.
 func (c *Cache) Probe(addr uint64) (set, way int, hit bool) {
 	set, tag := c.Index(addr)
-	tbase := set * c.Ways
+	r := c.record(set)
 	if c.maskWords == 1 { // every cache up to 64 ways: one mask word
-		for m := c.valid[set]; m != 0; m &= m - 1 {
-			w := bits.TrailingZeros64(m)
-			if c.tags[tbase+w] == tag {
-				return set, w, true
+		// Match every tag with no early exit, then gate by the valid
+		// word: the loop body compiles to a compare and a conditional
+		// move, so no branch depends on which way matches.
+		var m uint64
+		bit := uint64(1)
+		for _, t := range r[2 : 2+c.Ways] {
+			if t == tag {
+				m |= bit
 			}
+			bit <<= 1
+		}
+		if m &= r[0]; m != 0 {
+			return set, bits.TrailingZeros64(m), true
 		}
 		return set, -1, false
 	}
-	vbase := set * c.maskWords
+	tags := r[c.tagOff : c.tagOff+c.Ways]
 	for wi := 0; wi < c.maskWords; wi++ {
-		for m := c.valid[vbase+wi]; m != 0; m &= m - 1 {
+		for m := r[wi]; m != 0; m &= m - 1 {
 			w := wi<<6 + bits.TrailingZeros64(m)
-			if c.tags[tbase+w] == tag {
+			if tags[w] == tag {
 				return set, w, true
 			}
 		}
@@ -351,11 +365,12 @@ func (c *Cache) Access(addr uint64, write bool, cycle int64) (hit bool) {
 // caller already located with Probe, skipping the redundant second tag
 // walk. The way must be valid.
 func (c *Cache) AccessAt(set, way int, write bool, cycle int64) {
+	r := c.record(set)
 	c.stamp++
-	c.lru[set*c.Ways+way] = c.stamp
+	r[c.stampOff+way] = c.stamp
 	if write {
 		c.Stats.WriteHits++
-		c.dirty[set*c.maskWords+way>>6] |= 1 << uint(way&63)
+		r[c.maskWords+way>>6] |= 1 << uint(way&63)
 		if !c.noMeta {
 			l := c.coldAt(set, way)
 			if l.wrCount < 255 {
@@ -376,8 +391,8 @@ func (c *Cache) AccessAt(set, way int, write bool, cycle int64) {
 	}
 }
 
-// activeMask returns the active-way mask of mask word wi: like wordMask
-// but truncated at activeWays.
+// activeMask returns the mask of the active ways (those below
+// activeWays) in mask word wi.
 func (c *Cache) activeMask(wi int) uint64 {
 	if wi == c.activeWords-1 {
 		return c.activeLast
@@ -389,9 +404,9 @@ func (c *Cache) activeMask(wi int) uint64 {
 // any, otherwise the active line chosen by the replacement policy. Ways
 // at or beyond the active bound are never picked.
 func (c *Cache) Victim(set int) int {
-	vbase := set * c.maskWords
+	r := c.record(set)
 	for wi := 0; wi < c.activeWords; wi++ {
-		if inv := ^c.valid[vbase+wi] & c.activeMask(wi); inv != 0 {
+		if inv := ^r[wi] & c.activeMask(wi); inv != 0 {
 			return wi<<6 + bits.TrailingZeros64(inv)
 		}
 	}
@@ -425,11 +440,13 @@ func (c *Cache) Victim(set int) int {
 			}
 		}
 	default: // LRU
-		base := set * c.Ways
-		for w := 0; w < c.activeWays; w++ {
-			if c.lru[base+w] < min {
-				min = c.lru[base+w]
-				victim = w
+		// A branch-free minimum: both assignments compile to
+		// conditional moves. Strict < keeps the lowest way on ties.
+		stamps := r[c.stampOff : c.stampOff+c.activeWays]
+		min = stamps[0]
+		for w, s := range stamps {
+			if s < min {
+				min, victim = s, w
 			}
 		}
 	}
@@ -470,11 +487,12 @@ type Evicted struct {
 // way must be valid. A line without cold metadata (DisableMetadata)
 // snapshots with zero metadata fields.
 func (c *Cache) snapshot(set, way int) Line {
+	r := c.record(set)
 	ln := Line{
-		Tag:   c.tags[set*c.Ways+way],
+		Tag:   r[c.tagOff+way],
 		Valid: true,
-		Dirty: bitAt(c.dirty, set*c.maskWords, way),
-		lru:   c.lru[set*c.Ways+way],
+		Dirty: bitAt(r, c.maskWords, way),
+		lru:   r[c.stampOff+way],
 	}
 	if g := c.cold[set>>c.groupShift]; g != nil {
 		l := &g[(set&c.groupMask)*c.Ways+way]
@@ -490,7 +508,7 @@ func (c *Cache) snapshot(set, way int) Line {
 // LineAt returns a snapshot of the line at (set, way). An invalid way
 // yields a zero Line carrying only the slot's wear.
 func (c *Cache) LineAt(set, way int) Line {
-	if !bitAt(c.valid, set*c.maskWords, way) {
+	if !bitAt(c.record(set), 0, way) {
 		if g := c.cold[set>>c.groupShift]; g != nil {
 			return Line{Wear: g[(set&c.groupMask)*c.Ways+way].wear}
 		}
@@ -534,7 +552,7 @@ func (c *Cache) SetRetentionStamp(set, way int, cycle int64) {
 
 // DirtyAt reports whether the line at (set, way) is dirty.
 func (c *Cache) DirtyAt(set, way int) bool {
-	return bitAt(c.dirty, set*c.maskWords, way)
+	return bitAt(c.record(set), c.maskWords, way)
 }
 
 // MaskWords returns the number of bitmask words per set.
@@ -543,7 +561,7 @@ func (c *Cache) MaskWords() int { return c.maskWords }
 // ValidWord returns mask word wi of the set's valid bitmask; bit b is
 // way wi*64+b.
 func (c *Cache) ValidWord(set, wi int) uint64 {
-	return c.valid[set*c.maskWords+wi]
+	return c.record(set)[wi]
 }
 
 // DirtyWord returns mask word wi of the set's dirty bitmask. Invariant
@@ -551,7 +569,7 @@ func (c *Cache) ValidWord(set, wi int) uint64 {
 // which DirtyAt (per-way) cannot distinguish from a stale bit on an
 // invalid way.
 func (c *Cache) DirtyWord(set, wi int) uint64 {
-	return c.dirty[set*c.maskWords+wi]
+	return c.record(set)[c.maskWords+wi]
 }
 
 // UseStampAt returns the replacement use stamp of (set, way): the value
@@ -559,7 +577,7 @@ func (c *Cache) DirtyWord(set, wi int) uint64 {
 // hit and fill and zeroed on invalidate. Exposed so an external
 // reference model can compare replacement state exactly.
 func (c *Cache) UseStampAt(set, way int) uint64 {
-	return c.lru[set*c.Ways+way]
+	return c.record(set)[c.stampOff+way]
 }
 
 // Fill allocates the address into its set (evicting the LRU victim if the
@@ -575,12 +593,13 @@ func (c *Cache) Fill(addr uint64, dirty bool, cycle int64) (ev Evicted, evicted 
 	if !c.noMeta {
 		l = c.coldEnsure(set, way)
 	}
-	mi := set*c.maskWords + way>>6
+	r := c.record(set)
+	vi, di := way>>6, c.maskWords+way>>6
 	bit := uint64(1) << uint(way&63)
-	if c.valid[mi]&bit != 0 {
+	if r[vi]&bit != 0 {
 		ev = Evicted{
-			Addr:  c.AddrOf(set, c.tags[set*c.Ways+way]),
-			Dirty: c.dirty[mi]&bit != 0,
+			Addr:  c.AddrOf(set, r[c.tagOff+way]),
+			Dirty: r[di]&bit != 0,
 		}
 		evicted = true
 		c.Stats.Evictions++
@@ -588,17 +607,17 @@ func (c *Cache) Fill(addr uint64, dirty bool, cycle int64) (ev Evicted, evicted 
 			c.Stats.DirtyEvict++
 		}
 	} else {
-		c.valid[mi] |= bit
+		r[vi] |= bit
 		c.validCount++
 	}
 	c.stamp++
-	c.tags[set*c.Ways+way] = tag
+	r[c.tagOff+way] = tag
 	if dirty {
-		c.dirty[mi] |= bit
+		r[di] |= bit
 	} else {
-		c.dirty[mi] &^= bit
+		r[di] &^= bit
 	}
-	c.lru[set*c.Ways+way] = c.stamp
+	r[c.stampOff+way] = c.stamp
 	if l != nil {
 		if dirty {
 			l.wrCount = 1
@@ -637,17 +656,18 @@ func (c *Cache) Invalidate(addr uint64) (ev Evicted, found bool) {
 // InvalidateWay removes the line at (set, way) and returns its final
 // state; found is false (and ev zero) when the way was already invalid.
 func (c *Cache) InvalidateWay(set, way int) (ev Evicted, found bool) {
-	mi := set*c.maskWords + way>>6
+	r := c.record(set)
+	vi, di := way>>6, c.maskWords+way>>6
 	bit := uint64(1) << uint(way&63)
-	if c.valid[mi]&bit == 0 {
+	if r[vi]&bit == 0 {
 		return Evicted{}, false
 	}
 	ev = Evicted{
-		Addr:  c.AddrOf(set, c.tags[set*c.Ways+way]),
-		Dirty: c.dirty[mi]&bit != 0,
+		Addr:  c.AddrOf(set, r[c.tagOff+way]),
+		Dirty: r[di]&bit != 0,
 	}
-	c.valid[mi] &^= bit
-	c.dirty[mi] &^= bit
+	r[vi] &^= bit
+	r[di] &^= bit
 	c.validCount--
 	// Zero the vacated slot's metadata; wear belongs to the physical
 	// slot and survives.
@@ -658,7 +678,7 @@ func (c *Cache) InvalidateWay(set, way int) (ev Evicted, found bool) {
 		l.retStamp = 0
 		l.fill = 0
 	}
-	c.lru[set*c.Ways+way] = 0
+	r[c.stampOff+way] = 0
 	c.Stats.Invalidates++
 	return ev, true
 }
@@ -668,9 +688,9 @@ func (c *Cache) InvalidateWay(set, way int) (ev Evicted, found bool) {
 // (SetRetentionStamp, InvalidateWay outside the iteration, FlushDirty).
 func (c *Cache) Range(fn func(set, way int, l Line)) {
 	for set := 0; set < c.sets; set++ {
-		vbase := set * c.maskWords
+		r := c.record(set)
 		for wi := 0; wi < c.maskWords; wi++ {
-			for m := c.valid[vbase+wi]; m != 0; m &= m - 1 {
+			for m := r[wi]; m != 0; m &= m - 1 {
 				w := wi<<6 + bits.TrailingZeros64(m)
 				fn(set, w, c.snapshot(set, w))
 			}
@@ -683,17 +703,17 @@ func (c *Cache) Range(fn func(set, way int, l Line)) {
 // drain at end of simulation.
 func (c *Cache) FlushDirty(fn func(set, way int, addr uint64)) {
 	for set := 0; set < c.sets; set++ {
-		vbase := set * c.maskWords
+		r := c.record(set)
 		for wi := 0; wi < c.maskWords; wi++ {
-			m := c.valid[vbase+wi] & c.dirty[vbase+wi]
+			m := r[wi] & r[c.maskWords+wi]
 			if m == 0 {
 				continue
 			}
 			for dm := m; dm != 0; dm &= dm - 1 {
 				w := wi<<6 + bits.TrailingZeros64(dm)
-				fn(set, w, c.AddrOf(set, c.tags[set*c.Ways+w]))
+				fn(set, w, c.AddrOf(set, r[c.tagOff+w]))
 			}
-			c.dirty[vbase+wi] &^= m
+			r[c.maskWords+wi] &^= m
 		}
 	}
 }
@@ -706,11 +726,11 @@ func (c *Cache) FlushDirty(fn func(set, way int, addr uint64)) {
 // allocation-free in steady state.
 func (c *Cache) AppendExpired(dst [][2]int, now int64, maxAge int64) [][2]int {
 	for set := 0; set < c.sets; set++ {
-		vbase := set * c.maskWords
+		r := c.record(set)
 		base := (set & c.groupMask) * c.Ways
 		var g []coldLine
 		for wi := 0; wi < c.maskWords; wi++ {
-			for m := c.valid[vbase+wi]; m != 0; m &= m - 1 {
+			for m := r[wi]; m != 0; m &= m - 1 {
 				w := wi<<6 + bits.TrailingZeros64(m)
 				if g == nil {
 					g = c.cold[set>>c.groupShift]
@@ -734,11 +754,11 @@ func (c *Cache) RemarkExpiry() {
 		return
 	}
 	for set := 0; set < c.sets; set++ {
-		vbase := set * c.maskWords
+		r := c.record(set)
 		base := (set & c.groupMask) * c.Ways
 		var g []coldLine
 		for wi := 0; wi < c.maskWords; wi++ {
-			for m := c.valid[vbase+wi]; m != 0; m &= m - 1 {
+			for m := r[wi]; m != 0; m &= m - 1 {
 				w := wi<<6 + bits.TrailingZeros64(m)
 				if g == nil {
 					g = c.cold[set>>c.groupShift]
@@ -786,9 +806,7 @@ func (c *Cache) EnableWriteVariation() {
 // cycle of a worn one. Touched cold-metadata groups are zeroed in place
 // and kept, so a reused array refills without allocating.
 func (c *Cache) Reset() {
-	clear(c.valid)
-	clear(c.dirty)
-	clear(c.lru)
+	clear(c.rec)
 	for _, g := range c.cold {
 		clear(g)
 	}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"testing"
 
+	"sttllc/internal/cache"
 	"sttllc/internal/config"
 	"sttllc/internal/trace"
 	"sttllc/internal/workloads"
@@ -360,4 +362,36 @@ func BenchmarkReplayMany(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/accesses, "ns/access")
 		})
 	}
+}
+
+// BenchmarkCacheBankRun feeds bank 0's run of the recorded suite
+// benchmark, as splitByBank routes it, into a bare cache array with one
+// C1 bank's HR geometry: a probe, then a hit's bookkeeping or a fill,
+// per record. It measures the cache layer alone, without the bank's
+// policies, MSHR or DRAM. One op is one pass over the run; a warm-up
+// pass allocates the array's metadata groups, so steady state allocates
+// nothing.
+func BenchmarkCacheBankRun(b *testing.B) {
+	cfg := config.C1()
+	sp := splitByBank(benchRecording(), cfg.NumBanks, cfg.LineBytes)
+	run := sp.recs[sp.off[0]:sp.off[1]]
+	shift := uint(bits.TrailingZeros(uint(cfg.LineBytes)))
+	c := cache.New(cfg.L2.HRBytes/cfg.NumBanks, cfg.L2.HRWays, cfg.LineBytes)
+	pass := func() {
+		for _, r := range run {
+			addr, write := r.key>>1<<shift, r.key&1 != 0
+			if set, way, hit := c.Probe(addr); hit {
+				c.AccessAt(set, way, write, r.cycle)
+			} else {
+				c.Fill(addr, write, r.cycle)
+			}
+		}
+	}
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(run))), "ns/record")
 }
