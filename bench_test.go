@@ -13,6 +13,7 @@ import (
 	"sttllc/internal/config"
 	"sttllc/internal/experiments"
 	"sttllc/internal/ingest"
+	"sttllc/internal/metrics"
 	"sttllc/internal/sim"
 	"sttllc/internal/sttram"
 	"sttllc/internal/workloads"
@@ -196,6 +197,41 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
 
+// BenchmarkSimulatorThroughputMetricsOn is the same run with a live
+// metrics registry: its difference from BenchmarkSimulatorThroughput
+// is what the observability layer costs when it is on.
+func BenchmarkSimulatorThroughputMetricsOn(b *testing.B) {
+	spec, _ := workloads.ByName("bfs")
+	spec = spec.Scale(0.05)
+	spec.WarpsPerSM = 6
+	cfg := config.C1()
+	b.ResetTimer()
+	var instrs uint64
+	for i := 0; i < b.N; i++ {
+		r := sim.New(cfg, spec, sim.Options{Metrics: metrics.NewRegistry(true)}).Run()
+		instrs += r.Instructions
+	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+}
+
+// BenchmarkRecord is the same run with the trace sink on, as the
+// service's recording cache runs it on a miss: its difference from
+// BenchmarkSimulatorThroughput is what capturing the L2 reference
+// stream costs.
+func BenchmarkRecord(b *testing.B) {
+	spec, _ := workloads.ByName("bfs")
+	spec = spec.Scale(0.05)
+	spec.WarpsPerSM = 6
+	cfg := config.C1()
+	b.ResetTimer()
+	var instrs uint64
+	for i := 0; i < b.N; i++ {
+		r, _ := sim.Record(cfg, spec, sim.Options{})
+		instrs += r.Instructions
+	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+}
+
 // BenchmarkSimulatorReset is BenchmarkSimulatorThroughput on one
 // retained simulator: each iteration Resets it instead of building a
 // new one, as a service worker does between jobs.
@@ -216,7 +252,7 @@ func BenchmarkSimulatorReset(b *testing.B) {
 
 // BenchmarkSimulatorThroughputL3 is the same measurement on the
 // two-tier C2-L3 stack, so the cost of hierarchy chaining is tracked
-// next to the single-tier row (which is the one CI gates).
+// next to the single-tier row.
 func BenchmarkSimulatorThroughputL3(b *testing.B) {
 	spec, _ := workloads.ByName("bfs")
 	spec = spec.Scale(0.05)
@@ -236,9 +272,8 @@ func BenchmarkSimulatorThroughputL3(b *testing.B) {
 
 // BenchmarkSimulatorThroughputAdaptive is the same measurement with the
 // C4 reconfiguration controller live, so the controller's epoch-event
-// cost is tracked next to the static rows. This row is informational
-// (not in the CI gate set); the gated single-tier row above is what
-// proves a disabled controller costs nothing — the disabled path
+// cost is tracked next to the static rows. The single-tier row above
+// is what shows a disabled controller costs nothing: the disabled path
 // constructs no controller and schedules no epoch events.
 func BenchmarkSimulatorThroughputAdaptive(b *testing.B) {
 	spec, _ := workloads.ByName("bfs")

@@ -3,11 +3,11 @@
 // seeded, deterministic mix of simulation requests — and optionally
 // whole sweeps — at fixed concurrency for a fixed duration, then
 // reports jobs/sec, cache hit rate, and client-observed latency
-// quantiles as a BENCH_serve.json-style document.
+// quantiles as an sttllc-bench-serve/v1 JSON document.
 //
 //	sttload -addr http://127.0.0.1:8080 -duration 10s -concurrency 8 \
 //	        -configs C1,C2,C3 -benches bfs,stencil -scale 0.05 -replay \
-//	        -seed 1 -o BENCH_serve.json
+//	        -seed 1 -o serve.json
 //
 // Replayability: worker w's request sequence is drawn from its own
 // rand.Source seeded with (seed, w), independent of response timing —

@@ -187,3 +187,33 @@ func TestWritesConsumeChannelBandwidth(t *testing.T) {
 		t.Errorf("read done at %d: should wait for %d queued write bursts", done, 4)
 	}
 }
+
+// BenchmarkAccess drives one channel with a fixed stream: 70% of
+// accesses fall in a 64 KB hot set (mostly open-row hits), the rest
+// stream over 4 MB, and 30% are writes. One op is one Access.
+func BenchmarkAccess(b *testing.B) {
+	type op struct {
+		gap   int64
+		addr  uint64
+		write bool
+	}
+	stream := make([]op, 1<<12)
+	x := uint64(1)
+	for i := range stream {
+		x = x*6364136223846793005 + 1442695040888963407
+		span := uint64(4 << 20)
+		if x>>60 < 11 {
+			span = 64 << 10
+		}
+		stream[i] = op{gap: int64(x>>56) % 8, addr: (x >> 16) % span &^ 0x7f, write: (x>>8)%10 < 3}
+	}
+	c := newMC()
+	now := int64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := stream[i%len(stream)]
+		now += o.gap
+		c.Access(now, o.addr, o.write)
+	}
+}

@@ -122,3 +122,28 @@ func TestDeliverUncontendedOutOfRangePanics(t *testing.T) {
 	}()
 	n.DeliverUncontended(0, 7)
 }
+
+// BenchmarkDeliver sends a fixed stream of request-network transfers
+// from 15 SMs to 6 banks: entry cycles advance 0–3 per transfer, so
+// ports serialize some transfers and not others. One op is one Deliver.
+func BenchmarkDeliver(b *testing.B) {
+	type transfer struct {
+		gap    int64
+		output int
+	}
+	stream := make([]transfer, 1<<12)
+	x := uint64(1)
+	for i := range stream {
+		x = x*6364136223846793005 + 1442695040888963407
+		stream[i] = transfer{gap: int64(x >> 62), output: int(x>>32) % 6}
+	}
+	n := New(15, 6, 2)
+	now := int64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := stream[i%len(stream)]
+		now += t.gap
+		n.Deliver(now, t.output)
+	}
+}

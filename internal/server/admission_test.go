@@ -162,3 +162,55 @@ func TestDrainRefusesOnlyQueueSlots(t *testing.T) {
 		t.Fatalf("Shutdown = %v, want a clean drain", err)
 	}
 }
+
+// BenchmarkAdmit measures admitLocked, the admission path both submit
+// endpoints share, on cells no job or result answers: every op resolves
+// each cell (in-flight map, memory LRU, disk store), counts the queue
+// slots it needs and enqueues one job per cell. The server is bare (no
+// workers), and the queue and in-flight map are emptied after each op,
+// so every op takes the same path. One op admits one cell or one
+// 5-configuration × 4-benchmark sweep grid.
+func BenchmarkAdmit(b *testing.B) {
+	grid := func(configs, benches []string) []cell {
+		var cells []cell
+		for _, c := range configs {
+			for _, bench := range benches {
+				cells = append(cells, newCell(SimulationRequest{Config: c, Bench: bench, Warps: 3}.normalize()))
+			}
+		}
+		return cells
+	}
+	for _, tc := range []struct {
+		name  string
+		cells []cell
+	}{
+		{"single", grid([]string{"C2"}, []string{"bfs"})},
+		{"sweep-5x4", grid(
+			[]string{"baseline-SRAM", "baseline-STT", "C1", "C2", "C3"},
+			[]string{"bfs", "hotspot", "nw", "stencil"})},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			s := &Server{
+				inflight: make(map[string]*job, len(tc.cells)),
+				finished: newJobLRU(len(tc.cells)),
+				queue:    make(chan *job, len(tc.cells)),
+				now:      time.Now,
+			}
+			cells := make([]cell, len(tc.cells))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(cells, tc.cells)
+				s.mu.Lock()
+				if rf := s.admitLocked(cells, true); rf != nil {
+					b.Fatalf("refused: %s", rf.msg)
+				}
+				for range cells {
+					<-s.queue
+				}
+				clear(s.inflight)
+				s.mu.Unlock()
+			}
+		})
+	}
+}

@@ -319,19 +319,12 @@ func (s *Simulator) Access(now int64, smID int, addr uint64, write bool) int64 {
 // Banks exposes the L2 banks for characterization experiments.
 func (s *Simulator) Banks() []core.Bank { return s.banks }
 
-// Tiers exposes each bank's full tier chain, top-down (Tiers()[i][0] is
-// bank i's L2).
-func (s *Simulator) Tiers() [][]core.Tier { return s.tiers }
-
 // MCs exposes the per-bank memory controllers.
 func (s *Simulator) MCs() []*dram.Controller { return s.mcs }
 
 // ReqNet and ReplyNet expose the interconnect halves.
 func (s *Simulator) ReqNet() *interconnect.Network   { return s.reqNet }
 func (s *Simulator) ReplyNet() *interconnect.Network { return s.replyNet }
-
-// ResidentWarps returns the per-SM warp occupancy of this run.
-func (s *Simulator) ResidentWarps() int { return s.resident }
 
 // Result is the outcome of one run.
 type Result struct {

@@ -128,11 +128,11 @@ func TestSRAMLeaksMoreThanSTT(t *testing.T) {
 
 func TestOccupancyRespondsToConfig(t *testing.T) {
 	spec := tinySpec(t, "lud") // 63 regs/thread: RF-bound
-	base := New(config.BaselineSRAM(), spec, Options{})
-	c2 := New(config.C2(), spec, Options{})
-	if base.ResidentWarps() >= c2.ResidentWarps() {
+	base := New(config.BaselineSRAM(), spec, Options{}).Run()
+	c2 := New(config.C2(), spec, Options{}).Run()
+	if base.ResidentWarps >= c2.ResidentWarps {
 		t.Errorf("C2 occupancy (%d) should exceed baseline (%d)",
-			c2.ResidentWarps(), base.ResidentWarps())
+			c2.ResidentWarps, base.ResidentWarps)
 	}
 }
 

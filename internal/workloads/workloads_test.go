@@ -381,3 +381,24 @@ func TestValidateConstTexFractions(t *testing.T) {
 		t.Error("negative ConstFrac should be rejected")
 	}
 }
+
+// BenchmarkStreamNext draws bfs's instruction stream warp after warp,
+// as an SM does: a retired warp's successor comes from the model's
+// stream arena. One op is one Next.
+func BenchmarkStreamNext(b *testing.B) {
+	spec, ok := ByName("bfs")
+	if !ok {
+		b.Fatal("bfs missing")
+	}
+	m := spec.Model()
+	warp := 0
+	ws := m.NewWarp(warp)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := ws.Next(); !ok {
+			warp++
+			ws = m.NewWarp(warp)
+		}
+	}
+}
