@@ -214,7 +214,7 @@ func BenchmarkSimulatorThroughputMetricsOn(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-// BenchmarkRecord is the same run with the trace sink on, as the
+// BenchmarkRecord is the same run with Options.Recording set, as the
 // service's recording cache runs it on a miss: its difference from
 // BenchmarkSimulatorThroughput is what capturing the L2 reference
 // stream costs.

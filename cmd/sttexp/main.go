@@ -23,8 +23,8 @@
 // workload is simulated once and its recorded L2 stream is replayed
 // into the remaining configurations; the sweep's normalization base
 // stays execution-driven. -replay goes further and replaces simulation
-// entirely with a recording produced by `sttsim -record` or
-// `stttrace -record`; it applies to fig4, fig5, and fig6 only.
+// entirely with a recording produced by `sttsim -record`; it applies to
+// fig4, fig5, and fig6 only.
 //
 // "runs" emits per-run sttllc-stats/v1 dumps (see internal/sim's
 // StatsDump) for every configuration x benchmark pair; combine with

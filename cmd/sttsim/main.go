@@ -10,13 +10,17 @@
 //	sttsim -config C2 -bench bfs -stats-json -       # machine-readable stats
 //	sttsim -config C2 -bench bfs -timeout 30s        # bound wall time
 //	sttsim -config C1 -bench bfs -record bfs.rec     # save the L2 stream
+//	sttsim -config C1 -app srad-pipeline -record srad.rec
 //	sttsim -list
 //
-// -record captures the run's L2 reference stream (with its warmup
-// boundary and kernel-phase markers) to a recording file that
-// `stttrace -replay` and `sttexp -replay` can fan out across bank
-// configurations without re-running the SMs. Recording does not perturb
-// the run: the reported result is byte-identical either way.
+// -record is the one record command. It captures the L2 reference
+// stream of whatever run the other flags select — a warmed-up
+// benchmark, an application, an L3 hierarchy — with its warmup boundary
+// and kernel-phase markers, to a recording file that `stttrace -replay`
+// and `sttexp -replay` can fan out across bank configurations without
+// re-running the SMs. An interrupted run's recording is not written.
+// Recording does not perturb the run: the reported result is
+// byte-identical either way.
 //
 // Ctrl-C (or an expired -timeout) stops the run at the simulator's next
 // periodic cancellation check; the partial result simulated so far is
@@ -103,6 +107,9 @@ func main() {
 	if *statsOut != "" {
 		opts.Metrics = metrics.NewRegistry(true)
 	}
+	if *recordOut != "" {
+		opts.Recording = new(trace.Recording)
+	}
 	if *appName != "" {
 		app, ok := workloads.AppByName(*appName)
 		if !ok {
@@ -116,15 +123,8 @@ func main() {
 				app.Kernels[i].WarpsPerSM = *warps
 			}
 		}
-		var ar sim.AppResult
-		var err error
-		if *recordOut != "" {
-			var rec *trace.Recording
-			ar, rec, err = sim.RecordAppContext(ctx, cfg, app, opts)
-			writeRecording(*recordOut, rec, err)
-		} else {
-			ar, err = sim.New(cfg, app.Kernels[0], opts).RunAppContext(ctx, app)
-		}
+		ar, err := sim.New(cfg, app.Kernels[0], opts).RunAppContext(ctx, app)
+		writeRecording(*recordOut, opts.Recording, err)
 		reportPartial(err)
 		writeTrace(*traceOut, opts.Tracer)
 		if *statsOut != "" {
@@ -151,15 +151,8 @@ func main() {
 	}
 
 	opts.WarmupInstructions = *warmup
-	var r sim.Result
-	var err error
-	if *recordOut != "" {
-		var rec *trace.Recording
-		r, rec, err = sim.RecordContext(ctx, cfg, spec, opts)
-		writeRecording(*recordOut, rec, err)
-	} else {
-		r, err = sim.New(cfg, spec, opts).RunContext(ctx)
-	}
+	r, err := sim.New(cfg, spec, opts).RunContext(ctx)
+	writeRecording(*recordOut, opts.Recording, err)
 	reportPartial(err)
 	writeTrace(*traceOut, opts.Tracer)
 	if *statsOut != "" {
@@ -183,10 +176,14 @@ func reportPartial(err error) {
 	}
 }
 
-// writeRecording persists the run's L2 reference stream. A partial run
-// is not persisted: its stream ends mid-workload, and replaying it
-// would silently produce truncated statistics.
+// writeRecording persists the run's L2 reference stream, if one was
+// recorded. A partial run is not persisted: its stream ends
+// mid-workload, and replaying it would silently produce truncated
+// statistics.
 func writeRecording(path string, rec *trace.Recording, runErr error) {
+	if rec == nil {
+		return
+	}
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "sttsim: run was interrupted — not writing partial recording to %s\n", path)
 		return

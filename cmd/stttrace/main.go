@@ -4,22 +4,21 @@
 // skew that drives the Fig. 3 variation. Useful for inspecting and
 // debugging the synthetic workload models.
 //
-// It can also record a live simulation's L2 access stream to a compact
-// binary trace and replay such traces into any bank organization.
+// It also replays recorded L2 access streams into any bank organization.
+// `sttsim -record` makes such a recording from a live simulation.
 //
 // Usage:
 //
 //	stttrace -bench bfs [-warps 64] [-scale 1.0] [-dump 20]
-//	stttrace -bench bfs -record trace.bin [-config C1]
-//	stttrace -replay trace.bin -config C2
-//	stttrace -replay trace.bin -config C1,C2,C3       # one pass, K configs
-//	stttrace -replay trace.bin -config C2 -stats-json -
+//	stttrace -replay bfs.rec -config C2
+//	stttrace -replay bfs.rec -config C1,C2,C3       # one pass, K configs
+//	stttrace -replay bfs.rec -config C2 -stats-json -
 //	stttrace -import app.log -o app.rec [-workload name] [-fold-sm]
 //
-// Recordings are written in the v2 format (workload identity, warmup
-// boundary, kernel phases); -replay also accepts bare v1 streams.
-// Naming several comma-separated configurations replays the stream into
-// all of them in a single pass (sim.ReplayMany).
+// -replay reads v2 recordings (workload identity, warmup boundary,
+// kernel phases) and bare v1 streams. Naming several comma-separated
+// configurations replays the stream into all of them in a single pass
+// (sim.ReplayMany).
 //
 // -import converts an external trace — sttllc-trace/v1 NDJSON, a
 // GPGPU-Sim/Accel-Sim-style access log, or an existing binary stream;
@@ -49,9 +48,8 @@ func main() {
 		warps     = flag.Int("warps", 64, "number of warps to generate")
 		scale     = flag.Float64("scale", 1.0, "scale per-warp instruction counts")
 		dump      = flag.Int("dump", 0, "print the first N instructions of warp 0")
-		record    = flag.String("record", "", "run the simulator and record the L2 trace to this file")
 		replay    = flag.String("replay", "", "replay a recorded trace into banks of -config (comma-separate several configs for a single-pass sweep)")
-		cfgName   = flag.String("config", "C1", "configuration for -record/-replay")
+		cfgName   = flag.String("config", "C1", "configuration(s) for -replay")
 		suite     = flag.Bool("suite", false, "print the parameter table of the whole benchmark suite")
 		statsOut  = flag.String("stats-json", "", "with -replay: write the sttllc-stats/v1 dump to this file ('-' = stdout)")
 
@@ -84,10 +82,6 @@ func main() {
 	}
 	if *scale > 0 && *scale != 1.0 {
 		spec = spec.Scale(*scale)
-	}
-	if *record != "" {
-		recordTrace(spec, *cfgName, *record)
-		return
 	}
 	model := spec.Model()
 
@@ -176,30 +170,6 @@ func main() {
 		fmt.Printf("  write skew: hottest 10%% of written lines receive %.1f%% of writes\n",
 			pct(hotWrites, stores))
 	}
-}
-
-// recordTrace runs the benchmark on the configuration, recording the
-// L2 reference stream with its metadata (workload identity, warmup
-// boundary, kernel phase) in the v2 recording format.
-func recordTrace(spec workloads.Spec, cfgName, path string) {
-	cfg, ok := config.ByName(cfgName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "stttrace: unknown configuration %q\n", cfgName)
-		os.Exit(2)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stttrace: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	r, rec := sim.Record(cfg, spec, sim.Options{})
-	if err := trace.WriteRecording(f, rec); err != nil {
-		fmt.Fprintf(os.Stderr, "stttrace: writing recording: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("recorded %d L2 accesses over %d cycles (%s on %s) to %s\n",
-		len(rec.Records), r.Cycles, spec.Name, cfg.Name, path)
 }
 
 // importTrace converts an external trace into a v2 recording. The

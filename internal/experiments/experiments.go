@@ -141,7 +141,9 @@ func sweepBankVariants(spec workloads.Spec, cfgs []config.GPUConfig, base int, p
 		}
 		return out
 	}
-	live, rec, err := sim.RecordContext(p.ctx(), cfgs[base], spec, p.opts())
+	opts := p.opts()
+	opts.Recording = new(trace.Recording)
+	live, err := sim.New(cfgs[base], spec, opts).RunContext(p.ctx())
 	if err != nil {
 		// Cut short: a partial recording must not masquerade as the
 		// full stream, so variants stay zero and only the base row
@@ -150,7 +152,7 @@ func sweepBankVariants(spec workloads.Spec, cfgs []config.GPUConfig, base int, p
 		out[base] = live
 		return out
 	}
-	out := sim.ReplayMany(rec, cfgs)
+	out := sim.ReplayMany(opts.Recording, cfgs)
 	out[base] = live
 	return out
 }

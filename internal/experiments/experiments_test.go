@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"sttllc/internal/config"
 	"sttllc/internal/core"
 	"sttllc/internal/refmodel"
 	"sttllc/internal/workloads"
@@ -234,6 +235,28 @@ func TestHeaderLayout(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "A") || !strings.Contains(lines[0], "B") {
 		t.Errorf("header = %q", lines[0])
+	}
+}
+
+func TestRunResultString(t *testing.T) {
+	p := tiny("bfs")
+	r := run(config.C1(), p.specs()[0], p)
+	lines := strings.Split(strings.TrimRight(RunResultString(r), "\n"), "\n")
+	want := []string{
+		"config=C1 benchmark=bfs",
+		fmt.Sprintf("  cycles=%d instructions=%d ", r.Cycles, r.Instructions),
+		"  L1: accesses=",
+		fmt.Sprintf("  L2: reads=%d writes=%d ", r.Bank.Reads, r.Bank.Writes),
+		fmt.Sprintf("  DRAM: fills=%d writebacks=%d ", r.Bank.DRAMFills, r.Bank.DRAMWritebacks),
+		"  power: dynamic=",
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("%d lines, want %d:\n%s", len(lines), len(want), strings.Join(lines, "\n"))
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], w) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[i], w)
+		}
 	}
 }
 

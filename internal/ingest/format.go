@@ -189,16 +189,6 @@ func (p *Parser) fail(err error) error {
 	return p.err
 }
 
-// Header returns the stream's header, reading it if Next has not. The
-// parser validates the header's format name eagerly, so a non-trace
-// input fails on its first line.
-func (p *Parser) Header() (Header, error) {
-	if err := p.start(); err != nil {
-		return Header{}, err
-	}
-	return p.header, nil
-}
-
 func (p *Parser) start() error {
 	if p.err != nil {
 		return p.err

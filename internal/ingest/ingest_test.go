@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"sttllc/internal/config"
 	"sttllc/internal/sim"
@@ -108,6 +110,21 @@ func TestParseNDJSONErrors(t *testing.T) {
 					ie.Line, ie.Record, tc.wantLine, tc.wantRecord, ie)
 			}
 		})
+	}
+}
+
+// TestParseErrorUnwraps checks that a read failure surfaces through the
+// positioned *Error: callers can still match the underlying cause.
+func TestParseErrorUnwraps(t *testing.T) {
+	cause := errors.New("disk on fire")
+	in := io.MultiReader(strings.NewReader(`{"format":"sttllc-trace/v1"}`+"\n"), iotest.ErrReader(cause))
+	_, err := ParseNDJSON(in)
+	if !errors.Is(err, cause) {
+		t.Fatalf("err = %v, want it to wrap %v", err, cause)
+	}
+	var ie *Error
+	if !errors.As(err, &ie) {
+		t.Errorf("err = %#v, want *ingest.Error", err)
 	}
 }
 

@@ -393,12 +393,6 @@ func (h *Histogram) Merge(l *Histogram) {
 	*h.over += *l.over
 }
 
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string { return h.name }
-
-// Edges returns a copy of the bucket edges.
-func (h *Histogram) Edges() []int64 { return append([]int64(nil), h.edges...) }
-
 // Count returns bucket i's count.
 func (h *Histogram) Count(i int) uint64 { return h.counts[i] }
 

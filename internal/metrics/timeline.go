@@ -100,10 +100,6 @@ func (t *Tracer) NameThread(tid int, name string) {
 // Len returns the number of buffered events.
 func (t *Tracer) Len() int { return len(t.events) }
 
-// Events returns the buffered events (shared slice; callers must not
-// mutate).
-func (t *Tracer) Events() []TraceEvent { return t.events }
-
 // WriteJSON serializes the buffered events as a Chrome-trace JSON
 // document.
 func (t *Tracer) WriteJSON(w io.Writer) error {

@@ -93,11 +93,12 @@ func TestDifferentialRecordedTrace(t *testing.T) {
 	spec = spec.Scale(0.02)
 	spec.WarpsPerSM = 2
 
+	_, rec := sim.Record(config.C2(), spec, sim.Options{})
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
-	sim.New(config.C2(), spec, sim.Options{
-		TraceSink: func(r trace.Record) { _ = w.Append(r) },
-	}).Run()
+	for _, a := range rec.Records {
+		_ = w.Append(a)
+	}
 	if err := w.Flush(); err != nil {
 		t.Fatalf("flush trace: %v", err)
 	}

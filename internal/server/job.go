@@ -244,7 +244,7 @@ func (s *Server) runSimulation(ctx context.Context, req SimulationRequest, slot 
 		s.traceJobs.Add(1)
 	case req.Replay:
 		opts := sim.Options{MaxCycles: req.MaxCycles, WarmupInstructions: req.Warmup}
-		if _, rec, _, err = s.recordings.Get(ctx, config.BaselineSRAM(), req.benchSpec(), opts); err != nil {
+		if rec, err = s.recordings.Get(ctx, config.BaselineSRAM(), req.benchSpec(), opts); err != nil {
 			return nil, err
 		}
 		s.replayJobs.Add(1)

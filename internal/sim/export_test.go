@@ -125,6 +125,43 @@ func oddCounters() metrics.Samples {
 	return out
 }
 
+// TestWriteStatsDumps pins the multi-run form: one JSON array whose
+// elements are exactly the single-run dumps.
+func TestWriteStatsDumps(t *testing.T) {
+	spec := exportSpec(t)
+	dumps := []StatsDump{
+		New(config.C1(), spec, Options{}).Run().Dump(),
+		New(config.C2(), spec, Options{}).Run().Dump(),
+	}
+	var buf bytes.Buffer
+	if err := WriteStatsDumps(&buf, dumps); err != nil {
+		t.Fatal(err)
+	}
+	var got []json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatalf("not a JSON array: %v", err)
+	}
+	if len(got) != len(dumps) {
+		t.Fatalf("%d elements, want %d", len(got), len(dumps))
+	}
+	for i, d := range dumps {
+		var one bytes.Buffer
+		if err := d.WriteJSON(&one); err != nil {
+			t.Fatal(err)
+		}
+		var a, b bytes.Buffer
+		if err := json.Compact(&a, got[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Compact(&b, one.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("element %d differs from its single dump\n got %s\nwant %s", i, a.Bytes(), b.Bytes())
+		}
+	}
+}
+
 func TestCountersEncodeAsMap(t *testing.T) {
 	c := oddCounters()
 	m := make(map[string]uint64, len(c))
@@ -222,6 +259,7 @@ func TestInstrumentationDoesNotPerturbResults(t *testing.T) {
 	}{
 		{config.BaselineSRAM(), 0},
 		{config.C2(), 0},
+		{config.BaselineSTT(), third},
 		{config.C1(), third},
 		{config.C2L3(), third},
 		{config.C4(), third},

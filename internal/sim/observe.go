@@ -213,7 +213,3 @@ func (t *bankTrace) emit(at int64) {
 	}
 	t.prev = *st
 }
-
-// Metrics returns the run's registry (the one from Options, or the
-// private disabled one).
-func (s *Simulator) Metrics() *metrics.Registry { return s.reg }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"sttllc/internal/config"
@@ -84,7 +85,8 @@ func TestRecordAppCapturesPhases(t *testing.T) {
 		app.Kernels[i] = app.Kernels[i].Scale(0.05)
 		app.Kernels[i].WarpsPerSM = 6
 	}
-	ar, rec, _ := RecordAppContext(context.Background(), config.C1(), app, Options{})
+	rec := new(trace.Recording)
+	ar, _ := New(config.C1(), app.Kernels[0], Options{Recording: rec}).RunAppContext(context.Background(), app)
 	if err := rec.Validate(); err != nil {
 		t.Fatalf("recording invalid: %v", err)
 	}
@@ -129,8 +131,9 @@ func TestRecordingSurvivesTheWire(t *testing.T) {
 func TestRecordContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := RecordContext(ctx, config.C1(), sweepSpec(), Options{})
-	if err == nil {
-		t.Error("cancelled recording returned nil error")
+	opts := Options{Recording: new(trace.Recording)}
+	_, err := New(config.C1(), sweepSpec(), opts).RunContext(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled recording returned %v, want ctx's error", err)
 	}
 }

@@ -47,7 +47,6 @@ type RecordingCache struct {
 
 type recEntry struct {
 	ready chan struct{}
-	res   Result
 	rec   *trace.Recording
 	err   error
 }
@@ -61,12 +60,10 @@ func NewRecordingCache(max int) *RecordingCache {
 	return &RecordingCache{max: max, entries: make(map[string]*recEntry)}
 }
 
-// Get returns the recording run's Result and Recording for the given
-// workload/config/options, recording it on first use. shared reports
-// whether the recording came from the cache (or an in-flight run)
-// rather than a fresh simulation. The returned Recording is shared and
-// must be treated as read-only.
-func (c *RecordingCache) Get(ctx context.Context, cfg config.GPUConfig, spec workloads.Spec, opts Options) (res Result, rec *trace.Recording, shared bool, err error) {
+// Get returns the Recording for the given workload/config/options,
+// recording it on first use (Stats counts which Gets shared one). The
+// returned Recording is shared and must be treated as read-only.
+func (c *RecordingCache) Get(ctx context.Context, cfg config.GPUConfig, spec workloads.Spec, opts Options) (*trace.Recording, error) {
 	key := RecordingKey(cfg, spec, opts)
 	for {
 		c.mu.Lock()
@@ -75,13 +72,13 @@ func (c *RecordingCache) Get(ctx context.Context, cfg config.GPUConfig, spec wor
 			select {
 			case <-e.ready:
 			case <-ctx.Done():
-				return Result{}, nil, false, ctx.Err()
+				return nil, ctx.Err()
 			}
 			if e.err == nil {
 				c.mu.Lock()
 				c.hits++
 				c.mu.Unlock()
-				return e.res, e.rec, true, nil
+				return e.rec, nil
 			}
 			// The in-flight run failed and removed itself; record anew.
 			continue
@@ -112,9 +109,11 @@ func (c *RecordingCache) Get(ctx context.Context, cfg config.GPUConfig, spec wor
 			}
 			close(e.ready)
 		}()
-		e.res, e.rec, e.err = RecordContext(ctx, cfg, spec, opts)
+		opts.Recording = new(trace.Recording)
+		_, e.err = New(cfg, spec, opts).RunContext(ctx)
+		e.rec = opts.Recording
 		finished = true
-		return e.res, e.rec, false, e.err
+		return e.rec, e.err
 	}
 }
 

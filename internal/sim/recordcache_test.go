@@ -42,7 +42,7 @@ func TestRecordingCacheSharesAcrossCallers(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			_, rec, _, err := c.Get(context.Background(), config.C1(), spec, Options{})
+			rec, err := c.Get(context.Background(), config.C1(), spec, Options{})
 			if err != nil {
 				t.Errorf("get: %v", err)
 				return
@@ -72,14 +72,23 @@ func TestRecordingCacheKeysByContent(t *testing.T) {
 	c := NewRecordingCache(4)
 	ctx := context.Background()
 	spec := sweepSpec()
-	if _, _, shared, err := c.Get(ctx, config.C1(), spec, Options{}); err != nil || shared {
-		t.Fatalf("first get: shared=%v err=%v", shared, err)
+	if _, err := c.Get(ctx, config.C1(), spec, Options{}); err != nil {
+		t.Fatalf("first get: %v", err)
 	}
-	if _, _, shared, err := c.Get(ctx, config.C1(), spec, Options{}); err != nil || !shared {
-		t.Errorf("repeat get not shared (err=%v)", err)
+	if hits, misses := c.Stats(); hits != 0 || misses != 1 {
+		t.Fatalf("first get: hits=%d misses=%d, want a fresh recording", hits, misses)
 	}
-	if _, _, shared, err := c.Get(ctx, config.C2(), spec, Options{}); err != nil || shared {
-		t.Errorf("different config shared a recording (err=%v)", err)
+	if _, err := c.Get(ctx, config.C1(), spec, Options{}); err != nil {
+		t.Errorf("repeat get: %v", err)
+	}
+	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
+		t.Errorf("repeat get not shared: hits=%d misses=%d", hits, misses)
+	}
+	if _, err := c.Get(ctx, config.C2(), spec, Options{}); err != nil {
+		t.Errorf("different config: %v", err)
+	}
+	if hits, misses := c.Stats(); hits != 1 || misses != 2 {
+		t.Errorf("different config shared a recording: hits=%d misses=%d", hits, misses)
 	}
 	if c.Len() != 2 {
 		t.Errorf("cache holds %d entries, want 2", c.Len())
@@ -90,17 +99,17 @@ func TestRecordingCacheBounded(t *testing.T) {
 	c := NewRecordingCache(1)
 	ctx := context.Background()
 	spec := sweepSpec()
-	if _, _, _, err := c.Get(ctx, config.C1(), spec, Options{}); err != nil {
+	if _, err := c.Get(ctx, config.C1(), spec, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.Get(ctx, config.C2(), spec, Options{}); err != nil {
+	if _, err := c.Get(ctx, config.C2(), spec, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 1 {
 		t.Errorf("cache holds %d entries, want bound of 1", c.Len())
 	}
 	// The evicted key re-records rather than failing.
-	if _, rec, _, err := c.Get(ctx, config.C1(), spec, Options{}); err != nil || rec == nil {
+	if rec, err := c.Get(ctx, config.C1(), spec, Options{}); err != nil || rec == nil {
 		t.Errorf("re-get after eviction: rec=%v err=%v", rec, err)
 	}
 }
@@ -127,7 +136,7 @@ func TestRecordingCacheCancelHammer(t *testing.T) {
 				timer := time.AfterFunc(delay, cancel)
 				defer timer.Stop()
 			}
-			_, rec, _, err := c.Get(ctx, config.C1(), spec, Options{})
+			rec, err := c.Get(ctx, config.C1(), spec, Options{})
 			if err == nil && rec == nil {
 				t.Error("nil recording with nil error")
 			}
@@ -140,7 +149,7 @@ func TestRecordingCacheCancelHammer(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		_, rec, _, err = c.Get(context.Background(), config.C1(), spec, Options{})
+		rec, err = c.Get(context.Background(), config.C1(), spec, Options{})
 	}()
 	select {
 	case <-done:
@@ -195,14 +204,15 @@ func TestRecordingCacheDoesNotCacheFailures(t *testing.T) {
 	c := NewRecordingCache(4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := c.Get(ctx, config.C1(), sweepSpec(), Options{}); err == nil {
+	if _, err := c.Get(ctx, config.C1(), sweepSpec(), Options{}); err == nil {
 		t.Fatal("cancelled get returned nil error")
 	}
 	if c.Len() != 0 {
 		t.Errorf("failed recording cached: %d entries", c.Len())
 	}
 	// A healthy caller after the failure records successfully.
-	if _, rec, shared, err := c.Get(context.Background(), config.C1(), sweepSpec(), Options{}); err != nil || shared || rec == nil {
-		t.Errorf("retry after failure: shared=%v err=%v", shared, err)
+	rec, err := c.Get(context.Background(), config.C1(), sweepSpec(), Options{})
+	if hits, _ := c.Stats(); err != nil || hits != 0 || rec == nil {
+		t.Errorf("retry after failure: hits=%d err=%v", hits, err)
 	}
 }

@@ -16,11 +16,12 @@ func recordRun(t *testing.T, cfg config.GPUConfig) (Result, []trace.Record) {
 	spec, _ := workloads.ByName("bfs")
 	spec = spec.Scale(0.05)
 	spec.WarpsPerSM = 6
+	r, rec := Record(cfg, spec, Options{})
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
-	r := New(cfg, spec, Options{
-		TraceSink: func(r trace.Record) { _ = w.Append(r) },
-	}).Run()
+	for _, a := range rec.Records {
+		_ = w.Append(a)
+	}
 	if err := w.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}

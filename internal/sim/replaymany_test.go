@@ -117,7 +117,8 @@ func TestReplayManyAppBitIdentical(t *testing.T) {
 		app.Kernels[i].WarpsPerSM = 6
 	}
 	cfg := config.C1()
-	live, rec, _ := RecordAppContext(context.Background(), cfg, app, Options{})
+	rec := new(trace.Recording)
+	live, _ := New(cfg, app.Kernels[0], Options{Recording: rec}).RunAppContext(context.Background(), app)
 	if len(rec.Phases) != len(app.Kernels) {
 		t.Fatalf("recorded %d phases for %d kernels", len(rec.Phases), len(app.Kernels))
 	}

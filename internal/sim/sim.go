@@ -31,11 +31,16 @@ type Options struct {
 	EnableWriteVariation bool
 	// MaxCycles aborts runaway simulations (0 = no limit).
 	MaxCycles int64
-	// TraceSink, when non-nil, receives every L2-bound access as it is
-	// issued. Record uses it to capture a trace.Recording in memory; to
-	// stream to a trace.Writer, pass a sink that calls Append (write
-	// errors latch in the writer and surface at Flush).
-	TraceSink func(trace.Record)
+	// Recording, when non-nil, captures the run's L2 reference stream —
+	// the record-once half of the record-once/replay-many sweep idiom.
+	// RunContext and RunAppContext replace its contents: the workload's
+	// name and content hash (so caches can share it across jobs), the
+	// configuration name, one phase per kernel launch, the warmup
+	// boundary and the end cycle, while Access appends every L2-bound
+	// record. Recording does not perturb the run. A cancelled run keeps
+	// the records made so far; such a partial recording must not enter a
+	// shared cache.
+	Recording *trace.Recording
 	// WarmupInstructions, when positive, runs that many instructions
 	// first and then resets every statistic (keeping cache contents and
 	// timing state), so the reported numbers exclude cold-start
@@ -99,13 +104,6 @@ type Simulator struct {
 	// kernels after the first cancelled drive.
 	ctx       context.Context
 	cancelled bool
-
-	// Recording hooks (see record.go): onWarmupReset observes the
-	// warmup stats reset, onKernelLaunch each kernel launch of an
-	// application run. Observation only — neither may mutate simulator
-	// state; both are nil outside RecordContext/RecordAppContext.
-	onWarmupReset  func(now int64)
-	onKernelLaunch func(name string, now int64)
 
 	// Observability (see observe.go). reg is never nil after Reset; mReq
 	// and mLat are live handles even when it is disabled.
@@ -298,8 +296,8 @@ func (s *Simulator) buildSMs(spec workloads.Spec) {
 // its set index uses the full set range — interleaving by raw address
 // would alias bank-selection bits into the index and waste sets.
 func (s *Simulator) Access(now int64, smID int, addr uint64, write bool) int64 {
-	if s.opts.TraceSink != nil {
-		s.opts.TraceSink(trace.Record{
+	if rec := s.opts.Recording; rec != nil {
+		rec.Records = append(rec.Records, trace.Record{
 			Cycle: now, Addr: addr, SM: uint8(smID), Write: write,
 		})
 	}
@@ -318,13 +316,6 @@ func (s *Simulator) Access(now int64, smID int, addr uint64, write bool) int64 {
 
 // Banks exposes the L2 banks for characterization experiments.
 func (s *Simulator) Banks() []core.Bank { return s.banks }
-
-// MCs exposes the per-bank memory controllers.
-func (s *Simulator) MCs() []*dram.Controller { return s.mcs }
-
-// ReqNet and ReplyNet expose the interconnect halves.
-func (s *Simulator) ReqNet() *interconnect.Network   { return s.reqNet }
-func (s *Simulator) ReplyNet() *interconnect.Network { return s.replyNet }
 
 // Result is the outcome of one run.
 type Result struct {
@@ -388,7 +379,12 @@ func (s *Simulator) Run() Result {
 // cancelled just after the last cycle.
 func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	s.ctx = ctx
+	if s.opts.Recording != nil {
+		s.beginRecording(s.spec.Name, s.spec.Hash())
+		s.recordLaunch(s.spec.Name, 0)
+	}
 	start, end := s.drive(0, s.opts.WarmupInstructions)
+	s.endRecording(end)
 	if s.tracer != nil {
 		s.tracer.Complete(kernelTID, s.spec.Name, 0, end, nil)
 		if start > 0 {
@@ -765,8 +761,9 @@ func (s *Simulator) warmupReset(now int64) {
 	if s.adapt != nil {
 		s.adapt.rebase()
 	}
-	if s.onWarmupReset != nil {
-		s.onWarmupReset(now)
+	if rec := s.opts.Recording; rec != nil {
+		rec.WarmupIndex = len(rec.Records)
+		rec.WarmupCycle = now
 	}
 }
 
@@ -1014,15 +1011,16 @@ func RunApp(cfg config.GPUConfig, app workloads.App, opts Options) AppResult {
 // the error is ctx's error, or nil if every kernel completed.
 func (s *Simulator) RunAppContext(ctx context.Context, app workloads.App) (AppResult, error) {
 	s.ctx = ctx
+	if s.opts.Recording != nil {
+		s.beginRecording(app.Name, app.Hash())
+	}
 	ar := AppResult{App: app.Name, Config: s.cfg.Name}
 	now := int64(0)
 	for ki, spec := range app.Kernels {
 		if ki > 0 {
 			s.buildSMs(spec)
 		}
-		if s.onKernelLaunch != nil {
-			s.onKernelLaunch(spec.Name, now)
-		}
+		s.recordLaunch(spec.Name, now)
 		accBefore, hitBefore := s.bankTotals()
 		_, end := s.drive(now, 0)
 		if s.tracer != nil {
@@ -1054,6 +1052,7 @@ func (s *Simulator) RunAppContext(ctx context.Context, app workloads.App) (AppRe
 		}
 	}
 	ar.Cycles = now
+	s.endRecording(now)
 	if now > 0 {
 		ar.IPC = float64(ar.Instructions) / float64(now)
 	}
@@ -1067,4 +1066,32 @@ func (s *Simulator) RunAppContext(ctx context.Context, app workloads.App) (AppRe
 		return ar, ctx.Err()
 	}
 	return ar, nil
+}
+
+// Record runs one benchmark on one configuration with Options.Recording
+// set, returning the live Result alongside the Recording. The Result is
+// exactly what New(cfg, spec, opts).Run() would have produced.
+func Record(cfg config.GPUConfig, spec workloads.Spec, opts Options) (Result, *trace.Recording) {
+	opts.Recording = new(trace.Recording)
+	return New(cfg, spec, opts).Run(), opts.Recording
+}
+
+// beginRecording replaces the recording's contents with the identity of
+// the workload about to run.
+func (s *Simulator) beginRecording(name, hash string) {
+	*s.opts.Recording = trace.Recording{Workload: name, WorkloadHash: hash, Config: s.cfg.Name}
+}
+
+// recordLaunch marks a kernel launch at cycle now in the recording.
+func (s *Simulator) recordLaunch(name string, now int64) {
+	if rec := s.opts.Recording; rec != nil {
+		rec.Phases = append(rec.Phases, trace.Phase{Name: name, Index: len(rec.Records), Cycle: now})
+	}
+}
+
+// endRecording stamps the run's final cycle on the recording.
+func (s *Simulator) endRecording(end int64) {
+	if rec := s.opts.Recording; rec != nil {
+		rec.EndCycle = end
+	}
 }

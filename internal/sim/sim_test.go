@@ -308,22 +308,22 @@ func TestWarmupBeyondWorkload(t *testing.T) {
 func TestInfrastructureAccessors(t *testing.T) {
 	s := New(config.BaselineSRAM(), tinySpec(t, "hotspot"), Options{})
 	s.Run()
-	if len(s.MCs()) != config.BaseBanks {
-		t.Errorf("MCs = %d", len(s.MCs()))
+	if len(s.mcs) != config.BaseBanks {
+		t.Errorf("MCs = %d", len(s.mcs))
 	}
 	var dramAcc uint64
-	for _, mc := range s.MCs() {
+	for _, mc := range s.mcs {
 		dramAcc += mc.Stats.Accesses()
 	}
 	if dramAcc == 0 {
-		t.Error("no DRAM activity visible through MCs()")
+		t.Error("no DRAM activity visible through the memory controllers")
 	}
-	if s.ReqNet().Stats.Transfers == 0 {
+	if s.reqNet.Stats.Transfers == 0 {
 		t.Error("no request-network activity")
 	}
-	if s.ReplyNet().Stats.Transfers != s.ReqNet().Stats.Transfers {
+	if s.replyNet.Stats.Transfers != s.reqNet.Stats.Transfers {
 		t.Errorf("request/reply transfer mismatch: %d vs %d",
-			s.ReqNet().Stats.Transfers, s.ReplyNet().Stats.Transfers)
+			s.reqNet.Stats.Transfers, s.replyNet.Stats.Transfers)
 	}
 }
 

@@ -70,7 +70,8 @@ func TestGeneratorRecordingByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, rec, _ := sim.RecordAppContext(context.Background(), cfg, app, sim.Options{})
+		rec := new(trace.Recording)
+		res, _ := sim.New(cfg, app.Kernels[0], sim.Options{Recording: rec}).RunAppContext(context.Background(), app)
 		var recBuf bytes.Buffer
 		if err := trace.WriteRecording(&recBuf, rec); err != nil {
 			t.Fatal(err)
@@ -194,6 +195,26 @@ func TestRewriteIntervalSizesWWS(t *testing.T) {
 	}
 	if w1 < lineBytes || w2%lineBytes != 0 {
 		t.Errorf("WWS not line-snapped: %d, %d", w1, w2)
+	}
+}
+
+// TestChoicesDrawUniform checks the unweighted Choices draw: every
+// choice comes up, about equally often, and nothing else does.
+func TestChoicesDrawUniform(t *testing.T) {
+	d := Dist{Choices: []float64{2, 3, 5}}
+	rng := newXorshift(7)
+	const n = 3000
+	seen := map[float64]int{}
+	for i := 0; i < n; i++ {
+		seen[d.sample(rng, Dist{})]++
+	}
+	if len(seen) != len(d.Choices) {
+		t.Fatalf("drew %v, want only and all of %v", seen, d.Choices)
+	}
+	for _, c := range d.Choices {
+		if k := seen[c]; k < n/len(d.Choices)*8/10 {
+			t.Errorf("choice %v drawn %d of %d times", c, k, n)
+		}
 	}
 }
 
