@@ -244,7 +244,7 @@ func BenchmarkSimulatorReset(b *testing.B) {
 	b.ResetTimer()
 	var instrs uint64
 	for i := 0; i < b.N; i++ {
-		s.Reset(cfg, spec, sim.Options{})
+		s.Reset(cfg, workloads.Single(spec), sim.Options{})
 		instrs += s.Run().Instructions
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")

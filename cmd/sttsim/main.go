@@ -1,11 +1,16 @@
-// Command sttsim runs one benchmark on one GPU configuration and prints
-// the simulation result: IPC, cache behaviour, the two-part machinery's
-// event counts, and the L2 power breakdown.
+// Command sttsim runs one benchmark or multi-kernel application on one
+// GPU configuration and prints the simulation result: IPC, cache
+// behaviour, the two-part machinery's event counts, and the L2 power
+// breakdown — for an application, one row per kernel and its totals.
+// A benchmark runs as the application of its one kernel, so every flag
+// means the same for both. -warmup counts instructions from the
+// application's start across kernel boundaries; statistics reset once,
+// where the budget is spent, without moving the timeline.
 //
 // Usage:
 //
-//	sttsim -config C1 -bench bfs [-scale 0.5] [-warps 32] [-maxcycles N]
-//	sttsim -config C1 -app srad-pipeline    # multi-kernel application
+//	sttsim -config C1 -bench bfs [-scale 0.5] [-warps 32] [-maxcycles N] [-warmup N]
+//	sttsim -config C1 -app srad-pipeline [-warmup N]  # multi-kernel application
 //	sttsim -config C2 -bench bfs -trace out.json     # Perfetto timeline
 //	sttsim -config C2 -bench bfs -stats-json -       # machine-readable stats
 //	sttsim -config C2 -bench bfs -timeout 30s        # bound wall time
@@ -100,7 +105,28 @@ func main() {
 		defer cancel()
 	}
 
-	opts := sim.Options{MaxCycles: *maxCycles}
+	var app workloads.App
+	if *appName != "" {
+		if app, ok = workloads.AppByName(*appName); !ok {
+			fail("unknown application %q (try -list)", *appName)
+		}
+	} else {
+		spec, ok := workloads.ByName(*benchName)
+		if !ok {
+			fail("unknown benchmark %q (try -list)", *benchName)
+		}
+		app = workloads.Single(spec)
+	}
+	for i := range app.Kernels {
+		if *scale > 0 && *scale != 1.0 {
+			app.Kernels[i] = app.Kernels[i].Scale(*scale)
+		}
+		if *warps > 0 {
+			app.Kernels[i].WarpsPerSM = *warps
+		}
+	}
+
+	opts := sim.Options{MaxCycles: *maxCycles, WarmupInstructions: *warmup}
 	if *traceOut != "" {
 		opts.Tracer = metrics.NewTracer(cfg.ClockHz)
 	}
@@ -110,48 +136,9 @@ func main() {
 	if *recordOut != "" {
 		opts.Recording = new(trace.Recording)
 	}
-	if *appName != "" {
-		app, ok := workloads.AppByName(*appName)
-		if !ok {
-			fail("unknown application %q (try -list)", *appName)
-		}
-		for i := range app.Kernels {
-			if *scale > 0 && *scale != 1.0 {
-				app.Kernels[i] = app.Kernels[i].Scale(*scale)
-			}
-			if *warps > 0 {
-				app.Kernels[i].WarpsPerSM = *warps
-			}
-		}
-		ar, err := sim.New(cfg, app.Kernels[0], opts).RunAppContext(ctx, app)
-		writeRecording(*recordOut, opts.Recording, err)
-		reportPartial(err)
-		writeTrace(*traceOut, opts.Tracer)
-		if *statsOut != "" {
-			writeStats(*statsOut, sim.DumpStats(ar.Final, opts.Metrics))
-			return
-		}
-		fmt.Printf("application=%s config=%s\n", ar.App, ar.Config)
-		for _, k := range ar.Kernels {
-			fmt.Printf("  kernel %-14s cycles=%d IPC=%.4f L2hit=%.3f\n",
-				k.Benchmark, k.EndCycle-k.StartCycle, k.IPC, k.L2HitRate)
-		}
-		fmt.Printf("  total cycles=%d IPC=%.4f power=%.4fW\n", ar.Cycles, ar.IPC, ar.Final.TotalPowerW)
-		return
-	}
-	spec, ok := workloads.ByName(*benchName)
-	if !ok {
-		fail("unknown benchmark %q (try -list)", *benchName)
-	}
-	if *scale > 0 && *scale != 1.0 {
-		spec = spec.Scale(*scale)
-	}
-	if *warps > 0 {
-		spec.WarpsPerSM = *warps
-	}
-
-	opts.WarmupInstructions = *warmup
-	r, err := sim.New(cfg, spec, opts).RunContext(ctx)
+	s := new(sim.Simulator)
+	s.Reset(cfg, app, opts)
+	r, err := s.RunContext(ctx)
 	writeRecording(*recordOut, opts.Recording, err)
 	reportPartial(err)
 	writeTrace(*traceOut, opts.Tracer)

@@ -233,9 +233,20 @@ func FormatAblation(rows []AblationRow) string {
 	return b.String()
 }
 
-// RunResultString summarizes one raw run (used by cmd/sttsim).
+// RunResultString summarizes one raw run (used by cmd/sttsim): an
+// application of several kernels as one row per kernel plus its totals,
+// anything else — a benchmark, a replay — in full.
 func RunResultString(r sim.Result) string {
 	var b strings.Builder
+	if len(r.Kernels) > 1 {
+		fmt.Fprintf(&b, "application=%s config=%s\n", r.Benchmark, r.Config)
+		for _, k := range r.Kernels {
+			fmt.Fprintf(&b, "  kernel %-14s cycles=%d IPC=%.4f L2hit=%.3f\n",
+				k.Benchmark, k.EndCycle-k.StartCycle, k.IPC, k.L2HitRate)
+		}
+		fmt.Fprintf(&b, "  total cycles=%d IPC=%.4f power=%.4fW\n", r.Cycles, r.IPC, r.TotalPowerW)
+		return b.String()
+	}
 	fmt.Fprintf(&b, "config=%s benchmark=%s\n", r.Config, r.Benchmark)
 	fmt.Fprintf(&b, "  cycles=%d instructions=%d IPC=%.4f warps/SM=%d\n",
 		r.Cycles, r.Instructions, r.IPC, r.ResidentWarps)

@@ -47,6 +47,7 @@ func GeneratedSweep(p Params, family gen.FamilySpec, configNames []string) ([]Ge
 		return nil, err
 	}
 	var rows []GeneratedRow
+	var s sim.Simulator
 	for _, app := range apps {
 		for i := range app.Kernels {
 			app.Kernels[i] = app.Kernels[i].Scale(p.scale())
@@ -58,17 +59,18 @@ func GeneratedSweep(p Params, family gen.FamilySpec, configNames []string) ([]Ge
 			if p.ctx().Err() != nil {
 				return rows, p.ctx().Err()
 			}
-			ar, err := sim.New(cfg, app.Kernels[0], p.opts()).RunAppContext(p.ctx(), app)
+			s.Reset(cfg, app, p.opts())
+			r, err := s.RunContext(p.ctx())
 			if err != nil {
 				return rows, err
 			}
-			d := ar.Final.Dump()
+			d := r.Dump()
 			rows = append(rows, GeneratedRow{
 				Config: cfg.Name,
 				App:    app.Name,
 				Hash:   app.Hash(),
-				IPC:    ar.IPC,
-				Cycles: ar.Cycles,
+				IPC:    r.IPC,
+				Cycles: r.Cycles,
 				L2Hit:  d.L2.HitRate,
 				PowerW: d.Power.TotalW,
 			})

@@ -244,7 +244,8 @@ func (p *Parser) start() error {
 }
 
 // scanLine advances to the next non-blank, non-comment line. It returns
-// false at EOF or on a scanner error (recorded via fail).
+// false at EOF or on a scanner error, which fail records against the
+// line that could not be read.
 func (p *Parser) scanLine() ([]byte, bool) {
 	for p.sc.Scan() {
 		p.lineNo++
@@ -255,6 +256,7 @@ func (p *Parser) scanLine() ([]byte, bool) {
 		return raw, true
 	}
 	if err := p.sc.Err(); err != nil {
+		p.lineNo++
 		p.fail(err)
 	}
 	return nil, false

@@ -122,9 +122,10 @@ func TestParseErrorUnwraps(t *testing.T) {
 	if !errors.Is(err, cause) {
 		t.Fatalf("err = %v, want it to wrap %v", err, cause)
 	}
+	// The error names the line the reader failed on, after the header.
 	var ie *Error
-	if !errors.As(err, &ie) {
-		t.Errorf("err = %#v, want *ingest.Error", err)
+	if !errors.As(err, &ie) || ie.Line != 2 || ie.Record != 0 {
+		t.Errorf("err = %#v, want *ingest.Error at line 2 record 0", err)
 	}
 }
 

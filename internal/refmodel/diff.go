@@ -100,6 +100,14 @@ func Organizations() []Org {
 // the end, DRAM controller activity, or an invariant violation on the
 // optimized side. Record cycles must be non-decreasing.
 func Diff(p Pair, records []trace.Record) error {
+	return diff(p, records, -1)
+}
+
+// diff is Diff with a warmup boundary before records[warm] (none when
+// warm < 0): every tier of both sides rebases its rewrite clock there,
+// as a simulation's banks do, so only rewrites of lines first written
+// after the boundary enter the rewrite-interval histograms.
+func diff(p Pair, records []trace.Record, warm int) error {
 	if err := trace.Validate(records); err != nil {
 		return fmt.Errorf("%s: %w", p.Name, err)
 	}
@@ -121,6 +129,14 @@ func Diff(p Pair, records []trace.Record) error {
 				return err
 			}
 			boundary += period
+		}
+		if i == warm {
+			p.Opt.RebaseRewriteClock(rec.Cycle)
+			p.Ref.RebaseRewriteClock(rec.Cycle)
+			if p.OptL3 != nil {
+				p.OptL3.RebaseRewriteClock(rec.Cycle)
+				p.RefL3.RebaseRewriteClock(rec.Cycle)
+			}
 		}
 
 		optDone, optHit := p.Opt.Access(rec.Cycle, rec.Addr, rec.Write)

@@ -18,6 +18,7 @@ type Bank interface {
 	Drain(now int64)
 	Stats() *core.BankStats
 	Energy() *core.Energy
+	RebaseRewriteClock(boundary int64)
 }
 
 // ---- Timing and energy arithmetic, transcribed from the spec ----

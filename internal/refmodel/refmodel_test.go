@@ -30,6 +30,34 @@ func TestDifferentialSeededTraces(t *testing.T) {
 	}
 }
 
+// TestDifferentialRebaseRewriteClock puts a warmup boundary in the
+// middle of each stream: both sides rebase their rewrite clocks there in
+// lockstep, and every later comparison covers the rewrite-interval
+// histograms, for the two-part banks (RefTwoPart) and the uniform
+// baseline (RefUniform) alike. The boundary must drop samples that the
+// unrebased replay keeps, or the case covers nothing.
+func TestDifferentialRebaseRewriteClock(t *testing.T) {
+	for _, name := range []string{"C1", "C2", "baseline-STT"} {
+		org := orgByName(t, name)
+		var dropped bool
+		for seed := uint64(1); seed <= 8; seed++ {
+			recs := SyntheticTrace(seed, 600)
+			p := org.New()
+			if err := diff(p, recs, len(recs)/2); err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			plain := org.New()
+			if err := Diff(plain, recs); err != nil {
+				t.Fatalf("%s seed %d without rebase: %v", name, seed, err)
+			}
+			dropped = dropped || p.Opt.Stats().RewriteIntervals.N < plain.Opt.Stats().RewriteIntervals.N
+		}
+		if !dropped {
+			t.Errorf("%s: the rebase dropped no rewrite interval on any seed", name)
+		}
+	}
+}
+
 // TestSeededTracesExerciseMechanisms guards the synthetic generator
 // against degenerating into streams that never reach the paper's
 // mechanisms: across the seed set, the two-part bank must see

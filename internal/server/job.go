@@ -161,39 +161,40 @@ func readSummary(b []byte) (summary, error) {
 	return s, nil
 }
 
-// benchSpec resolves a request's benchmark with its scale and warp
-// overrides applied — the same resolution runSimulation uses, factored
-// out so the replay path records exactly the stream the full run would
-// generate.
-func (r SimulationRequest) benchSpec() workloads.Spec {
-	spec, ok := workloads.ByName(r.Bench)
-	if !ok {
-		panic("server: job with unknown benchmark " + r.Bench)
-	}
-	if r.Scale > 0 && r.Scale != 1.0 {
-		spec = spec.Scale(r.Scale)
-	}
-	if r.Warps > 0 {
-		spec.WarpsPerSM = r.Warps
-	}
-	return spec
-}
-
-// resolveApp materializes a request's application: the named catalog
-// entry, or a fresh deterministic draw from the inline generator spec.
-// Both sources were validated before enqueue, so failure here is a
-// server bug.
-func (r SimulationRequest) resolveApp() workloads.App {
-	if r.Gen != nil {
-		app, err := r.Gen.App()
-		if err != nil {
+// workload materializes a request's execution-driven workload — its
+// benchmark as a one-kernel application, the named catalog application,
+// or a fresh deterministic draw from the inline generator spec — with
+// the scale and warp overrides applied to every kernel as sttsim applies
+// them. The replay path records its first kernel, so it records exactly
+// the stream the full run would generate. Every source was validated
+// before enqueue, so failure here is a server bug.
+func (r SimulationRequest) workload() workloads.App {
+	var app workloads.App
+	switch {
+	case r.Bench != "":
+		spec, ok := workloads.ByName(r.Bench)
+		if !ok {
+			panic("server: job with unknown benchmark " + r.Bench)
+		}
+		app = workloads.Single(spec)
+	case r.Gen != nil:
+		var err error
+		if app, err = r.Gen.App(); err != nil {
 			panic("server: job with invalid generator spec: " + err.Error())
 		}
-		return app
+	default:
+		var ok bool
+		if app, ok = workloads.AppByName(r.App); !ok {
+			panic("server: job with unknown application " + r.App)
+		}
 	}
-	app, ok := workloads.AppByName(r.App)
-	if !ok {
-		panic("server: job with unknown application " + r.App)
+	for i := range app.Kernels {
+		if r.Scale > 0 && r.Scale != 1.0 {
+			app.Kernels[i] = app.Kernels[i].Scale(r.Scale)
+		}
+		if r.Warps > 0 {
+			app.Kernels[i].WarpsPerSM = r.Warps
+		}
 	}
 	return app
 }
@@ -205,13 +206,12 @@ func (r SimulationRequest) resolveApp() workloads.App {
 // one (see runGuarded).
 type simSlot struct{ sim *sim.Simulator }
 
-// reset returns the slot's simulator rebuilt for cfg and spec.
-func (w *simSlot) reset(cfg config.GPUConfig, spec workloads.Spec, opts sim.Options) *sim.Simulator {
+// reset returns the slot's simulator rebuilt for app on cfg.
+func (w *simSlot) reset(cfg config.GPUConfig, app workloads.App, opts sim.Options) *sim.Simulator {
 	if w.sim == nil {
-		w.sim = sim.New(cfg, spec, opts)
-	} else {
-		w.sim.Reset(cfg, spec, opts)
+		w.sim = new(sim.Simulator)
 	}
+	w.sim.Reset(cfg, app, opts)
 	return w.sim
 }
 
@@ -244,7 +244,7 @@ func (s *Server) runSimulation(ctx context.Context, req SimulationRequest, slot 
 		s.traceJobs.Add(1)
 	case req.Replay:
 		opts := sim.Options{MaxCycles: req.MaxCycles, WarmupInstructions: req.Warmup}
-		if rec, err = s.recordings.Get(ctx, config.BaselineSRAM(), req.benchSpec(), opts); err != nil {
+		if rec, err = s.recordings.Get(ctx, config.BaselineSRAM(), req.workload().Kernels[0], opts); err != nil {
 			return nil, err
 		}
 		s.replayJobs.Add(1)
@@ -253,31 +253,12 @@ func (s *Server) runSimulation(ctx context.Context, req SimulationRequest, slot 
 		d := sim.ReplayMany(rec, []config.GPUConfig{cfg})[0].Dump()
 		return &d, nil
 	}
-	reg := metrics.NewRegistry(true)
-	opts := sim.Options{MaxCycles: req.MaxCycles, Metrics: reg}
-	if req.App != "" || req.Gen != nil {
-		if req.Gen != nil {
-			s.genJobs.Add(1)
-		}
-		app := req.resolveApp()
-		for i := range app.Kernels {
-			if req.Scale > 0 && req.Scale != 1.0 {
-				app.Kernels[i] = app.Kernels[i].Scale(req.Scale)
-			}
-			if req.Warps > 0 {
-				app.Kernels[i].WarpsPerSM = req.Warps
-			}
-		}
-		ar, err := slot.reset(cfg, app.Kernels[0], opts).RunAppContext(ctx, app)
-		if err != nil {
-			return nil, err
-		}
-		d := sim.DumpStats(ar.Final, reg)
-		return &d, nil
+	if req.Gen != nil {
+		s.genJobs.Add(1)
 	}
-
-	opts.WarmupInstructions = req.Warmup
-	r, err := slot.reset(cfg, req.benchSpec(), opts).RunContext(ctx)
+	reg := metrics.NewRegistry(true)
+	opts := sim.Options{MaxCycles: req.MaxCycles, WarmupInstructions: req.Warmup, Metrics: reg}
+	r, err := slot.reset(cfg, req.workload(), opts).RunContext(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -38,8 +38,9 @@ type SimulationRequest struct {
 	Warps int `json:"warps,omitempty"`
 	// MaxCycles aborts the run after this many cycles (0 = none).
 	MaxCycles int64 `json:"max_cycles,omitempty"`
-	// Warmup runs this many instructions before statistics start
-	// (benchmarks only; 0 = none).
+	// Warmup runs this many instructions before statistics start (0 =
+	// none). For an application or generated workload the budget counts
+	// across kernel boundaries from its start, as sttsim's -warmup does.
 	Warmup uint64 `json:"warmup,omitempty"`
 	// L3KB stacks an STT-MRAM L3 tier of this capacity (KB across all
 	// banks) behind the named configuration's L2 (0 = the configuration's
@@ -97,12 +98,6 @@ func (r SimulationRequest) normalize() SimulationRequest {
 	}
 	if r.Warps < 0 {
 		r.Warps = 0
-	}
-	if r.App != "" || r.Gen != nil {
-		// sttsim applies -warmup only to single-benchmark runs; mirror
-		// that for catalog and generated applications alike, so app
-		// results stay byte-identical to the CLI's.
-		r.Warmup = 0
 	}
 	// Hierarchy and DRAM overrides: spellings of the default collapse to
 	// the zero field, so requests that predate these knobs keep their

@@ -110,6 +110,34 @@ func TestSubmitPollResult(t *testing.T) {
 	if !bytes.Equal(gotJSON, wantJSON) {
 		t.Errorf("service dump diverges from direct sim.New(...).Run() dump:\n%s\nvs\n%s", gotJSON, wantJSON)
 	}
+
+	// So is an application's, warmup included: the budget runs across
+	// the kernel boundary, and the warmed dump is not the unwarmed one.
+	app, _ := workloads.AppByName("srad-pipeline")
+	for i := range app.Kernels {
+		app.Kernels[i] = app.Kernels[i].Scale(0.04)
+		app.Kernels[i].WarpsPerSM = 6
+	}
+	cold := sim.RunApp(cfg, app, sim.Options{}).Final
+	appReq := SimulationRequest{Config: "C2", App: app.Name, Scale: 0.04, Warps: 6,
+		Warmup: cold.Kernels[0].Instructions + cold.Kernels[1].Instructions/2}
+	var dumps [2][]byte
+	for i, warmup := range []uint64{0, appReq.Warmup} {
+		appReq.Warmup = warmup
+		rec, st := postJSON(t, h, "/v1/simulations?wait=true", appReq)
+		if rec.Code != http.StatusOK || st.State != "done" {
+			t.Fatalf("app job (warmup %d) = %d state %q, want 200 done", warmup, rec.Code, st.State)
+		}
+		reg := metrics.NewRegistry(true)
+		want := sim.DumpStats(sim.RunApp(cfg, app, sim.Options{Metrics: reg, WarmupInstructions: warmup}).Final, reg)
+		dumps[i], _ = json.Marshal(st.Result)
+		if wantJSON, _ := json.Marshal(want); !bytes.Equal(dumps[i], wantJSON) {
+			t.Errorf("app job (warmup %d) dump diverges from sim.RunApp:\n%s\nvs\n%s", warmup, dumps[i], wantJSON)
+		}
+	}
+	if bytes.Equal(dumps[0], dumps[1]) {
+		t.Error("app job ignored its warmup: warmed and unwarmed dumps are identical")
+	}
 }
 
 func TestCacheHitSecondRequest(t *testing.T) {
@@ -499,6 +527,7 @@ func TestRequestKeyCanonicalization(t *testing.T) {
 		{Config: "C2", Bench: "bfs", MaxCycles: 1000},
 		{Config: "C2", Bench: "bfs", Warmup: 100},
 		{Config: "C2", App: "srad-pipeline"},
+		{Config: "C2", App: "srad-pipeline", Warmup: 100},
 	}
 	seen := map[string]int{base.Key(): -1}
 	for i, r := range diff {

@@ -211,11 +211,7 @@ func TestGenRequestMatchesLocalRun(t *testing.T) {
 	}
 	cfg, _ := config.ByName("C1")
 	reg := metrics.NewRegistry(true)
-	ar, err := sim.New(cfg, app.Kernels[0], sim.Options{Metrics: reg}).RunAppContext(context.Background(), app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sim.DumpStats(ar.Final, reg)
+	want := sim.DumpStats(sim.RunApp(cfg, app, sim.Options{Metrics: reg}).Final, reg)
 	gotJSON, _ := json.Marshal(st.Result)
 	wantJSON, _ := json.Marshal(&want)
 	if !bytes.Equal(gotJSON, wantJSON) {

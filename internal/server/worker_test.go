@@ -17,7 +17,9 @@ import (
 func TestFailedJobDropsRetainedSimulator(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	retained := func() *simSlot {
-		return &simSlot{sim: sim.New(config.C2(), tinyReq("bfs").benchSpec(), sim.Options{})}
+		slot := new(simSlot)
+		slot.reset(config.C2(), tinyReq("bfs").workload(), sim.Options{})
+		return slot
 	}
 
 	slot := retained()

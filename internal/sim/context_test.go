@@ -104,7 +104,7 @@ func TestRunContextCancelOnSRAMBaseline(t *testing.T) {
 	}
 }
 
-func TestRunAppContextCancelStopsKernels(t *testing.T) {
+func TestRunContextCancelStopsKernels(t *testing.T) {
 	cfg, _ := config.ByName("C2")
 	apps := workloads.Apps()
 	if len(apps) == 0 {
@@ -120,14 +120,16 @@ func TestRunAppContextCancelStopsKernels(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	ar, err := New(cfg, app.Kernels[0], Options{}).RunAppContext(ctx, app)
+	s := new(Simulator)
+	s.Reset(cfg, app, Options{})
+	r, err := s.RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(ar.Kernels) == 0 {
+	if len(r.Kernels) == 0 {
 		t.Fatalf("cancelled app reports no kernel rows, want the interrupted kernel's partial row")
 	}
-	if len(ar.Kernels) == len(app.Kernels) && ar.Kernels[len(ar.Kernels)-1].EndCycle == 0 {
+	if len(r.Kernels) == len(app.Kernels) && r.Kernels[len(r.Kernels)-1].EndCycle == 0 {
 		t.Errorf("all kernels reported despite cancellation")
 	}
 }

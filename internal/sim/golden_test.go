@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -61,9 +62,13 @@ func seedRunLoop(s *Simulator, start int64) int64 {
 	return now
 }
 
-// seedWarmup is the seed's warmup stepping loop, verbatim.
-func seedWarmup(s *Simulator) int64 {
-	now := int64(0)
+// seedWarmup is the seed's warmup stepping loop, verbatim but for its
+// start cycle and budget, which an application's later kernels carry
+// over: it steps from start until the loaded kernel has issued budget
+// instructions or retired, and returns that cycle and the kernel's
+// instruction count there.
+func seedWarmup(s *Simulator, start int64, budget uint64) (int64, uint64) {
+	now := start
 	for {
 		var instr uint64
 		done := true
@@ -73,8 +78,8 @@ func seedWarmup(s *Simulator) int64 {
 				done = false
 			}
 		}
-		if instr >= s.opts.WarmupInstructions || done {
-			break
+		if instr >= budget || done {
+			return now, instr
 		}
 		issued := false
 		for _, sm := range s.sms {
@@ -96,10 +101,15 @@ func seedWarmup(s *Simulator) int64 {
 			}
 		}
 		if next == int64(math.MaxInt64) {
-			break
+			return now, instr
 		}
 		now = next
 	}
+}
+
+// seedWarmupReset is the seed's statistics reset at the warmup boundary,
+// plus the retired kernels' SM statistics an application carries.
+func seedWarmupReset(s *Simulator, now int64) {
 	for _, sm := range s.sms {
 		sm.ResetStats()
 	}
@@ -107,19 +117,57 @@ func seedWarmup(s *Simulator) int64 {
 		b.ResetStats()
 		b.RebaseRewriteClock(now)
 	}
-	return now
+	s.retired = Result{}
 }
 
-// seedRun reproduces the seed's Run entry point on the reference loops.
+// seedRun reproduces the seed's Run entry point on the reference loops,
+// extended to s's whole application: kernels launch back-to-back, each
+// one runs seedWarmup while warmup budget is left — a kernel that
+// retires inside it hands the rest to the next one, the last resets at
+// its end — and seedRunLoop after that.
 func seedRun(s *Simulator) Result {
-	start := int64(0)
-	if s.opts.WarmupInstructions > 0 {
-		start = seedWarmup(s)
+	budget := s.opts.WarmupInstructions
+	var rows []KernelResult
+	start, now := int64(0), int64(0)
+	for ki, spec := range s.app.Kernels {
+		if ki > 0 {
+			s.addSMStats(&s.retired)
+			s.buildSMs(spec)
+		}
+		from := now
+		accBefore, hitBefore := s.bankTotals()
+		if budget > 0 {
+			var instr uint64
+			now, instr = seedWarmup(s, now, budget)
+			if instr < budget && ki < len(s.app.Kernels)-1 {
+				budget -= instr
+			} else {
+				seedWarmupReset(s, now)
+				for i := range rows {
+					rows[i] = KernelResult{Benchmark: rows[i].Benchmark, StartCycle: rows[i].EndCycle, EndCycle: rows[i].EndCycle}
+				}
+				budget, start, from, accBefore, hitBefore = 0, now, now, 0, 0
+			}
+		}
+		end := seedRunLoop(s, now)
+		kr := KernelResult{Benchmark: spec.Name, StartCycle: from, EndCycle: end}
+		for _, sm := range s.sms {
+			kr.Instructions += sm.Stats().Instructions
+		}
+		if end > from {
+			kr.IPC = float64(kr.Instructions) / float64(end-from)
+		}
+		accAfter, hitAfter := s.bankTotals()
+		if da := accAfter - accBefore; da > 0 {
+			kr.L2HitRate = float64(hitAfter-hitBefore) / float64(da)
+		}
+		rows = append(rows, kr)
+		now = end
 	}
-	end := seedRunLoop(s, start)
-	r := s.finalize(end)
+	r := s.finalize(0, now)
+	r.Kernels = rows
 	if start > 0 {
-		r.Cycles = end - start
+		r.Cycles = now - start
 		if r.Cycles > 0 {
 			r.IPC = float64(r.Instructions) / float64(r.Cycles)
 		}
@@ -129,6 +177,22 @@ func seedRun(s *Simulator) Result {
 		r.TotalPowerW = r.Power.TotalW()
 	}
 	return r
+}
+
+// appSim builds a simulator for app.
+func appSim(cfg config.GPUConfig, app workloads.App, opts Options) *Simulator {
+	s := new(Simulator)
+	s.Reset(cfg, app, opts)
+	return s
+}
+
+// goldenApp scales an application's kernels like goldenSpec.
+func goldenApp(app workloads.App) workloads.App {
+	for i := range app.Kernels {
+		app.Kernels[i] = app.Kernels[i].Scale(0.02)
+		app.Kernels[i].WarpsPerSM = 6
+	}
+	return app
 }
 
 // goldenSpec scales a benchmark down enough to sweep the whole suite.
@@ -193,7 +257,9 @@ func TestGoldenWarmup(t *testing.T) {
 }
 
 // TestGoldenMaxCycles checks the truncation path, including the seed's
-// exact end-cycle value when the cutoff lands mid-jump.
+// exact end-cycle value when the cutoff lands mid-jump, and an
+// application cut inside its first kernel: the limit is absolute, so
+// the later kernels run for zero cycles.
 func TestGoldenMaxCycles(t *testing.T) {
 	spec := goldenSpec(t, "bfs")
 	full := New(config.C2(), spec, Options{}).Run().Cycles
@@ -202,6 +268,19 @@ func TestGoldenMaxCycles(t *testing.T) {
 		got := New(config.C2(), spec, opts).Run()
 		want := seedRun(New(config.C2(), spec, opts))
 		assertGolden(t, "maxcycles", got, want)
+	}
+
+	app, _ := workloads.AppByName("srad-pipeline")
+	app = goldenApp(app)
+	first := RunApp(config.C2(), app, Options{}).Final.Kernels[0]
+	opts := Options{MaxCycles: first.EndCycle / 2}
+	got := RunApp(config.C2(), app, opts).Final
+	assertGolden(t, "maxcycles/app", got, seedRun(appSim(config.C2(), app, opts)))
+	if got.Cycles != opts.MaxCycles {
+		t.Errorf("app cut at %d cycles, want the limit %d", got.Cycles, opts.MaxCycles)
+	}
+	if k := got.Kernels[1]; k.StartCycle != k.EndCycle || k.Instructions != 0 {
+		t.Errorf("kernel launched past the limit ran: %+v", k)
 	}
 }
 
@@ -219,85 +298,56 @@ func TestGoldenGTO(t *testing.T) {
 
 // TestGoldenApps checks multi-kernel applications: each kernel launch
 // re-enters the drive loop on a shared memory system at a non-zero
-// start cycle.
+// start cycle. Warmup budgets that end inside the first kernel, at its
+// last instruction, inside the second kernel, and past the application
+// each move the statistics boundary exactly as the reference does.
 func TestGoldenApps(t *testing.T) {
 	for _, app := range workloads.Apps() {
-		for i := range app.Kernels {
-			app.Kernels[i] = app.Kernels[i].Scale(0.02)
-			app.Kernels[i].WarpsPerSM = 6
-		}
-		got := RunApp(config.C1(), app, Options{})
-		want := seedRunApp(config.C1(), app, Options{})
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: engine AppResult diverges from seed loop\n got: %+v\nwant: %+v",
-				app.Name, got, want)
+		app = goldenApp(app)
+		cold := RunApp(config.C1(), app, Options{}).Final
+		assertGolden(t, app.Name, cold, seedRun(appSim(config.C1(), app, Options{})))
+		k0, k1 := cold.Kernels[0].Instructions, cold.Kernels[1].Instructions
+		for _, budget := range []uint64{k0 / 2, k0, k0 + k1/2, 1 << 40} {
+			opts := Options{WarmupInstructions: budget}
+			got := RunApp(config.C1(), app, opts).Final
+			assertGolden(t, fmt.Sprintf("%s/warmup=%d", app.Name, budget), got, seedRun(appSim(config.C1(), app, opts)))
 		}
 	}
-}
-
-// seedRunApp reproduces the seed's RunApp on the reference loop.
-func seedRunApp(cfg config.GPUConfig, app workloads.App, opts Options) AppResult {
-	s := New(cfg, app.Kernels[0], opts)
-	ar := AppResult{App: app.Name, Config: cfg.Name}
-	now := int64(0)
-	for ki, spec := range app.Kernels {
-		if ki > 0 {
-			s.buildSMs(spec)
-		}
-		accBefore, hitBefore := s.bankTotals()
-		end := seedRunLoop(s, now)
-		var instr uint64
-		for _, sm := range s.sms {
-			instr += sm.Stats().Instructions
-		}
-		accAfter, hitAfter := s.bankTotals()
-		kr := KernelResult{
-			Benchmark:    spec.Name,
-			StartCycle:   now,
-			EndCycle:     end,
-			Instructions: instr,
-		}
-		if end > now {
-			kr.IPC = float64(instr) / float64(end-now)
-		}
-		if da := accAfter - accBefore; da > 0 {
-			kr.L2HitRate = float64(hitAfter-hitBefore) / float64(da)
-		}
-		ar.Kernels = append(ar.Kernels, kr)
-		ar.Instructions += instr
-		now = end
-	}
-	ar.Cycles = now
-	if now > 0 {
-		ar.IPC = float64(ar.Instructions) / float64(now)
-	}
-	ar.Final = s.finalize(now)
-	ar.Final.Benchmark = app.Name
-	ar.Final.Instructions = ar.Instructions
-	ar.Final.IPC = ar.IPC
-	return ar
 }
 
 // TestWarmupDoesNotPerturbTrajectory is the warmup/runLoop duplication
 // regression test: warming up must only move the statistics boundary,
 // never change the simulated timeline — warmup cycles plus measured
-// cycles must equal the un-warmed run's total, exactly.
+// cycles must equal the un-warmed run's total, exactly, for a benchmark
+// and for an application whose boundary falls in its second kernel.
 func TestWarmupDoesNotPerturbTrajectory(t *testing.T) {
-	spec := goldenSpec(t, "hotspot")
-	cold := New(config.C1(), spec, Options{})
-	_, coldEnd := cold.drive(0, 0)
-
-	warmSim := New(config.C1(), spec, Options{WarmupInstructions: 500})
-	boundary, warmEnd := warmSim.drive(0, 500)
-	if warmEnd != coldEnd {
-		t.Errorf("warmup changed the trajectory: end %d vs un-warmed %d", warmEnd, coldEnd)
+	app, _ := workloads.AppByName("srad-pipeline")
+	app = goldenApp(app)
+	cold := RunApp(config.C1(), app, Options{}).Final
+	runs := []struct {
+		app    workloads.App
+		budget uint64
+	}{
+		{workloads.Single(goldenSpec(t, "hotspot")), 500},
+		{app, cold.Kernels[0].Instructions + cold.Kernels[1].Instructions/2},
 	}
-	if boundary <= 0 || boundary >= warmEnd {
-		t.Fatalf("warmup boundary %d outside run (end %d)", boundary, warmEnd)
-	}
-
-	r := New(config.C1(), spec, Options{WarmupInstructions: 500}).Run()
-	if r.Cycles != warmEnd-boundary {
-		t.Errorf("measured window = %d cycles, want end-boundary = %d", r.Cycles, warmEnd-boundary)
+	for _, run := range runs {
+		cold := RunApp(config.C1(), run.app, Options{}).Final
+		warm := RunApp(config.C1(), run.app, Options{WarmupInstructions: run.budget}).Final
+		coldEnd, warmEnd := cold.Kernels[len(cold.Kernels)-1].EndCycle, warm.Kernels[len(warm.Kernels)-1].EndCycle
+		if warmEnd != coldEnd {
+			t.Errorf("%s: warmup changed the trajectory: end %d vs un-warmed %d", run.app.Name, warmEnd, coldEnd)
+		}
+		last := warm.Kernels[len(warm.Kernels)-1]
+		boundary := last.StartCycle
+		if boundary <= cold.Kernels[len(cold.Kernels)-1].StartCycle || boundary >= warmEnd {
+			t.Fatalf("%s: warmup boundary %d outside the last kernel (%+v)", run.app.Name, boundary, last)
+		}
+		if warm.Cycles != warmEnd-boundary {
+			t.Errorf("%s: measured window = %d cycles, want end-boundary = %d", run.app.Name, warm.Cycles, warmEnd-boundary)
+		}
+		if warm.Instructions != last.Instructions {
+			t.Errorf("%s: measured %d instructions, want the last kernel's post-boundary %d", run.app.Name, warm.Instructions, last.Instructions)
+		}
 	}
 }

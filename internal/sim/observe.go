@@ -89,7 +89,7 @@ func (s *Simulator) registerMetrics() {
 	sc.Func("engine.events_scheduled", func() uint64 { return s.engSched })
 	sc.Func("engine.events_fired", func() uint64 { return s.engFired })
 
-	s.spec.RegisterMetrics(sc)
+	s.app.Kernels[0].RegisterMetrics(sc) // the workload shape the run starts with
 	for i, chain := range s.tiers {
 		for ti, t := range chain {
 			// Level-numbered namespaces: single-tier chains keep the

@@ -47,6 +47,15 @@ func TestRecordCapturesMetadata(t *testing.T) {
 	if rec.Warmed() {
 		t.Error("cold run marked as warmed")
 	}
+
+	// A one-kernel application that is not the benchmark's own (a
+	// generator draw, say) records its application address.
+	app := workloads.App{Name: spec.Name, Kernels: []workloads.Spec{spec}}
+	appRec := new(trace.Recording)
+	RunApp(cfg, app, Options{Recording: appRec})
+	if appRec.WorkloadHash != app.Hash() || appRec.WorkloadHash == spec.Hash() {
+		t.Errorf("one-kernel application recorded hash %s, want its App.Hash %s", appRec.WorkloadHash, app.Hash())
+	}
 }
 
 func TestRecordCapturesWarmupBoundary(t *testing.T) {
@@ -86,7 +95,7 @@ func TestRecordAppCapturesPhases(t *testing.T) {
 		app.Kernels[i].WarpsPerSM = 6
 	}
 	rec := new(trace.Recording)
-	ar, _ := New(config.C1(), app.Kernels[0], Options{Recording: rec}).RunAppContext(context.Background(), app)
+	ar := RunApp(config.C1(), app, Options{Recording: rec}).Final
 	if err := rec.Validate(); err != nil {
 		t.Fatalf("recording invalid: %v", err)
 	}

@@ -187,7 +187,7 @@ func (j *replayJob) finalize(rec *trace.Recording) Result {
 	if rec.Warmed() {
 		start = rec.WarmupCycle
 	}
-	return s.finalizeWindow(start, end)
+	return s.finalize(start, end)
 }
 
 // bankFeed drives one bank the way Access does, with the state Access

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math/bits"
@@ -106,7 +105,9 @@ func TestReplayManyBitIdenticalWithWarmup(t *testing.T) {
 func TestReplayManyAppBitIdentical(t *testing.T) {
 	// Multi-kernel recordings carry one phase marker per launch; the
 	// replay ignores them, because the banks' retention timeline runs
-	// unbroken across launches in the live run too.
+	// unbroken across launches in the live run too. A warmup budget that
+	// crosses into the second kernel puts the recording's boundary there,
+	// and the replay resets each bank where its stream crosses it.
 	apps := workloads.Apps()
 	if len(apps) == 0 {
 		t.Skip("no applications registered")
@@ -117,14 +118,21 @@ func TestReplayManyAppBitIdentical(t *testing.T) {
 		app.Kernels[i].WarpsPerSM = 6
 	}
 	cfg := config.C1()
-	rec := new(trace.Recording)
-	live, _ := New(cfg, app.Kernels[0], Options{Recording: rec}).RunAppContext(context.Background(), app)
-	if len(rec.Phases) != len(app.Kernels) {
-		t.Fatalf("recorded %d phases for %d kernels", len(rec.Phases), len(app.Kernels))
-	}
-	rep := ReplayMany(rec, []config.GPUConfig{cfg})[0]
-	if got, want := bankSide(t, rep.Dump()), bankSide(t, live.Final.Dump()); got != want {
-		t.Errorf("app replay dump differs\n got %s\nwant %s", got, want)
+	cold := RunApp(cfg, app, Options{}).Final
+	for _, budget := range []uint64{0, cold.Kernels[0].Instructions + cold.Kernels[1].Instructions/2} {
+		rec := new(trace.Recording)
+		live := RunApp(cfg, app, Options{Recording: rec, WarmupInstructions: budget})
+		if len(rec.Phases) != len(app.Kernels) {
+			t.Fatalf("recorded %d phases for %d kernels", len(rec.Phases), len(app.Kernels))
+		}
+		if budget > 0 && (rec.WarmupIndex <= rec.Phases[1].Index || rec.WarmupCycle != live.Final.Kernels[1].StartCycle) {
+			t.Errorf("warmup %d: boundary at record %d cycle %d, want inside kernel 1 (phase at %d) at cycle %d",
+				budget, rec.WarmupIndex, rec.WarmupCycle, rec.Phases[1].Index, live.Final.Kernels[1].StartCycle)
+		}
+		rep := ReplayMany(rec, []config.GPUConfig{cfg})[0]
+		if got, want := bankSide(t, rep.Dump()), bankSide(t, live.Final.Dump()); got != want {
+			t.Errorf("warmup %d: app replay dump differs\n got %s\nwant %s", budget, got, want)
+		}
 	}
 }
 

@@ -19,8 +19,7 @@ import (
 type resetJob struct {
 	name string
 	cfg  config.GPUConfig
-	spec workloads.Spec
-	app  *workloads.App
+	app  workloads.App
 	opts Options
 	// cancelAfter, when positive, cancels the run at its
 	// cancelAfter-th cancellation poll: mid-run, and at the same cycle
@@ -53,15 +52,7 @@ func (j resetJob) run(t *testing.T, s *Simulator, reg *metrics.Registry) []byte 
 		defer cancel()
 		ctx = &pollCountdown{Context: base, n: j.cancelAfter}
 	}
-	var r Result
-	var err error
-	if j.app != nil {
-		var ar AppResult
-		ar, err = s.RunAppContext(ctx, *j.app)
-		r = ar.Final
-	} else {
-		r, err = s.RunContext(ctx)
-	}
+	r, err := s.RunContext(ctx)
 	if (j.cancelAfter > 0) != errors.Is(err, context.Canceled) {
 		t.Fatalf("%s: err = %v with cancelAfter %d", j.name, err, j.cancelAfter)
 	}
@@ -73,33 +64,27 @@ func (j resetJob) run(t *testing.T, s *Simulator, reg *metrics.Registry) []byte 
 	return b
 }
 
-// first is the spec a job's simulator is built for.
-func (j resetJob) first() workloads.Spec {
-	if j.app != nil {
-		return j.app.Kernels[0]
-	}
-	return j.spec
-}
-
 func resetJobs(t *testing.T) []resetJob {
 	spec := exportSpec(t)
+	bench := workloads.Single(spec)
 	var jobs []resetJob
 	for _, cfg := range config.Extended() {
-		jobs = append(jobs, resetJob{name: "bench/" + cfg.Name, cfg: cfg, spec: spec})
+		jobs = append(jobs, resetJob{name: "bench/" + cfg.Name, cfg: cfg, app: bench})
 	}
 	c4 := adaptiveGoldenCfg() // epochs fire and transition inside the run
 	jobs = append(jobs,
-		resetJob{name: "c4-epochs", cfg: c4, spec: spec},
-		resetJob{name: "l3-override", cfg: config.WithL3(config.C3(), 6*256<<10, 16, config.CellWriteTuned), spec: spec},
+		resetJob{name: "c4-epochs", cfg: c4, app: bench},
+		resetJob{name: "l3-override", cfg: config.WithL3(config.C3(), 6*256<<10, 16, config.CellWriteTuned), app: bench},
 		resetJob{name: "dram-override", cfg: func() config.GPUConfig {
 			g := config.C1()
 			g.DRAM = config.DRAMSpec{Banks: 4, RowBytes: 4096, RowMissLatency: 300}
 			return g
-		}(), spec: spec},
-		resetJob{name: "warmup", cfg: config.C2(), spec: spec, opts: Options{WarmupInstructions: 4000}},
-		resetJob{name: "maxcycles", cfg: config.C1(), spec: spec, opts: Options{MaxCycles: 1500}},
-		resetJob{name: "write-variation", cfg: config.BaselineSTT(), spec: spec, opts: Options{EnableWriteVariation: true}},
-		resetJob{name: "cancelled", cfg: c4, spec: spec.Scale(20), cancelAfter: 2},
+		}(), app: bench},
+		resetJob{name: "warmup", cfg: config.C2(), app: bench, opts: Options{WarmupInstructions: 4000}},
+		resetJob{name: "maxcycles", cfg: config.C1(), app: bench, opts: Options{MaxCycles: 1500}},
+		resetJob{name: "write-variation", cfg: config.BaselineSTT(), app: bench, opts: Options{EnableWriteVariation: true}},
+		resetJob{name: "write-variation/two-part", cfg: config.C1(), app: bench, opts: Options{EnableWriteVariation: true}},
+		resetJob{name: "cancelled", cfg: c4, app: workloads.Single(spec.Scale(20)), cancelAfter: 2},
 	)
 
 	app := workloads.Apps()[0]
@@ -107,7 +92,10 @@ func resetJobs(t *testing.T) []resetJob {
 		app.Kernels[i] = app.Kernels[i].Scale(0.05)
 		app.Kernels[i].WarpsPerSM = 4
 	}
-	jobs = append(jobs, resetJob{name: "app", cfg: config.C3(), app: &app})
+	jobs = append(jobs,
+		resetJob{name: "app", cfg: config.C3(), app: app},
+		resetJob{name: "app-warmup", cfg: config.C3(), app: app, opts: Options{WarmupInstructions: 30000}},
+	)
 
 	instr, warps := 300.0, 4.0
 	genApp, err := gen.AppSpec{
@@ -117,7 +105,7 @@ func resetJobs(t *testing.T) []resetJob {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs = append(jobs, resetJob{name: "gen", cfg: config.C1L3(), app: &genApp})
+	jobs = append(jobs, resetJob{name: "gen", cfg: config.C1L3(), app: genApp})
 	return jobs
 }
 
@@ -131,7 +119,7 @@ func TestResetMatchesNew(t *testing.T) {
 	for i, j := range jobs {
 		opts := j.opts
 		opts.Metrics = metrics.NewRegistry(true)
-		want[i] = j.run(t, New(j.cfg, j.first(), opts), opts.Metrics)
+		want[i] = j.run(t, appSim(j.cfg, j.app, opts), opts.Metrics)
 	}
 	// Three shuffles of every job twice over, then every job twice in a
 	// row, so each memory system is also reused by a run of its own
@@ -156,16 +144,15 @@ func TestResetMatchesNew(t *testing.T) {
 			opts := j.opts
 			opts.Metrics = metrics.NewRegistry(step%4 != 3) // every fourth run bare
 			if s == nil {
-				s = New(j.cfg, j.first(), opts)
-			} else {
-				s.Reset(j.cfg, j.first(), opts)
+				s = new(Simulator)
 			}
+			s.Reset(j.cfg, j.app, opts)
 			got := j.run(t, s, opts.Metrics)
 			if !opts.Metrics.Enabled() {
 				// A bare run dumps no counters; its fresh twin must agree.
 				o := j.opts
 				o.Metrics = metrics.NewRegistry(false)
-				want := j.run(t, New(j.cfg, j.first(), o), o.Metrics)
+				want := j.run(t, appSim(j.cfg, j.app, o), o.Metrics)
 				if !bytes.Equal(got, want) {
 					t.Errorf("seed %d step %d %s (bare): Reset run diverges from New", seed, step, j.name)
 				}
@@ -199,7 +186,7 @@ func TestResetDoesNotAliasResults(t *testing.T) {
 	}
 
 	regB := metrics.NewRegistry(true)
-	s.Reset(config.C2L3(), spec.Scale(2), Options{Metrics: regB})
+	s.Reset(config.C2L3(), workloads.Single(spec.Scale(2)), Options{Metrics: regB})
 	if b := s.Run(); reflect.DeepEqual(b, a) {
 		t.Fatal("job B reproduced job A: the test covers nothing")
 	}
@@ -212,7 +199,8 @@ func TestResetDoesNotAliasResults(t *testing.T) {
 }
 
 // deepCopy returns a copy of r that shares no memory with it: its
-// pointer and slice fields are the histogram and the tier roll-up.
+// pointer and slice fields are the histogram, the tier roll-up and the
+// kernel rows.
 func deepCopy(r Result) Result {
 	c := r
 	h := *r.Bank.RewriteIntervals
@@ -220,6 +208,7 @@ func deepCopy(r Result) Result {
 	h.Counts = append([]uint64(nil), h.Counts...)
 	c.Bank.RewriteIntervals = &h
 	c.Tiers = append([]TierResult(nil), r.Tiers...)
+	c.Kernels = append([]KernelResult(nil), r.Kernels...)
 	return c
 }
 
@@ -242,7 +231,7 @@ func TestResetAllocBudget(t *testing.T) {
 	s := New(cfg, spec, Options{})
 	s.Run()
 	avg := testing.AllocsPerRun(5, func() {
-		s.Reset(cfg, spec, Options{})
+		s.Reset(cfg, workloads.Single(spec), Options{})
 		s.Run()
 	})
 	if avg > maxResetAllocs {

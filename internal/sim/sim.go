@@ -1,8 +1,11 @@
 // Package sim wires the substrates into the full simulated GPU of the
 // evaluation — SMs, per-SM L1 caches, request/reply butterfly networks,
-// address-interleaved L2 banks, per-bank memory controllers — and runs a
-// kernel to completion, reporting IPC and the L2 power breakdown exactly
-// as the paper's figures need them.
+// address-interleaved L2 banks, per-bank memory controllers — and runs an
+// application to completion, reporting IPC and the L2 power breakdown
+// exactly as the paper's figures need them. A benchmark is the
+// application of one kernel (workloads.Single); its kernels launch
+// back-to-back on one memory system, so one kernel's L2 contents are
+// visible to the next.
 package sim
 
 import (
@@ -29,22 +32,30 @@ type Options struct {
 	// EnableWriteVariation attaches per-set write counters to uniform
 	// banks for the Fig. 3 characterization.
 	EnableWriteVariation bool
-	// MaxCycles aborts runaway simulations (0 = no limit).
+	// MaxCycles stops the run at this cycle (0 = no limit). The limit is
+	// absolute: it counts from the application's start across kernel
+	// boundaries, so once it is reached every kernel still to launch runs
+	// for zero cycles and reports an empty row. It is not enforced while
+	// the run is still warming up.
 	MaxCycles int64
 	// Recording, when non-nil, captures the run's L2 reference stream —
 	// the record-once half of the record-once/replay-many sweep idiom.
-	// RunContext and RunAppContext replace its contents: the workload's
-	// name and content hash (so caches can share it across jobs), the
-	// configuration name, one phase per kernel launch, the warmup
-	// boundary and the end cycle, while Access appends every L2-bound
-	// record. Recording does not perturb the run. A cancelled run keeps
-	// the records made so far; such a partial recording must not enter a
-	// shared cache.
+	// RunContext replaces its contents: the workload's name and content
+	// hash (workloads.App.Hash: a benchmark's is its spec's, so caches can
+	// share it across jobs), the configuration name, one phase per kernel
+	// launch, the warmup boundary and the end cycle, while Access appends
+	// every L2-bound record. Recording does not perturb the run. A
+	// cancelled run keeps the records made so far; such a partial
+	// recording must not enter a shared cache.
 	Recording *trace.Recording
 	// WarmupInstructions, when positive, runs that many instructions
-	// first and then resets every statistic (keeping cache contents and
-	// timing state), so the reported numbers exclude cold-start
-	// effects.
+	// first and then resets every statistic once (keeping cache contents
+	// and timing state), so the reported numbers exclude cold-start
+	// effects. The budget counts from the application's start across
+	// kernel boundaries; the reset happens at the cycle it is spent, or at
+	// the end of the run if the application retires first (an empty
+	// measured window). Warmup moves only the statistics boundary: the
+	// timeline, end cycle included, is the unwarmed run's.
 	WarmupInstructions uint64
 	// Metrics, when non-nil, is the registry the simulator publishes its
 	// counters into (see DumpStats). Each simulation — each New or
@@ -76,10 +87,10 @@ type Options struct {
 // free; it stays nil in production builds.
 var defaultInvariantCheck func(bank int, b core.Bank, now int64) error
 
-// Simulator holds one configured GPU running one kernel.
+// Simulator holds one configured GPU running one application.
 type Simulator struct {
 	cfg  config.GPUConfig
-	spec workloads.Spec
+	app  workloads.App
 	opts Options
 
 	sms      []*gpu.SM
@@ -105,6 +116,15 @@ type Simulator struct {
 	ctx       context.Context
 	cancelled bool
 
+	// Warmup state of the run (see drive): warmLeft is the instruction
+	// budget not yet spent, boundary the cycle the statistics reset at
+	// (0 until then), and retired the SM-side statistics of the kernels
+	// that retired since the boundary, which finalize adds to the loaded
+	// kernel's.
+	warmLeft uint64
+	boundary int64
+	retired  Result
+
 	// Observability (see observe.go). reg is never nil after Reset; mReq
 	// and mLat are live handles even when it is disabled.
 	reg    *metrics.Registry
@@ -115,7 +135,7 @@ type Simulator struct {
 	adapt *adaptiveController
 	mReq  metrics.Counter
 	mLat  *metrics.Histogram
-	// Engine lifetime totals, accumulated across drive calls (RunApp
+	// Engine lifetime totals, accumulated across drive calls (a run
 	// drives once per kernel).
 	engSched uint64
 	engFired uint64
@@ -149,23 +169,27 @@ type nocShape struct {
 	stage      int64
 }
 
-// New builds a simulator for the configuration and workload: Reset on
-// an empty Simulator.
+// New builds a simulator for a benchmark on the configuration: Reset of
+// an empty Simulator for workloads.Single(spec).
 func New(cfg config.GPUConfig, spec workloads.Spec, opts Options) *Simulator {
 	s := new(Simulator)
-	s.Reset(cfg, spec, opts)
+	s.Reset(cfg, workloads.Single(spec), opts)
 	return s
 }
 
-// Reset rebuilds s for a new run of spec on cfg. Afterwards s runs
-// exactly as New(cfg, spec, opts) would — same results, same dump bytes
-// — but components whose shape already fits are reset in place instead
-// of reallocated: the SMs with their caches, the NoC halves, the drive
+// Reset rebuilds s for a new run of app on cfg, with app's first kernel
+// loaded. Resetting an empty Simulator builds everything; otherwise
+// components whose shape already fits are reset in place instead of
+// reallocated — the SMs with their caches, the NoC halves, the drive
 // engines, and the banks' tier chains with their DRAM controllers when
-// the memory system is unchanged. Results of earlier runs stay valid;
-// a registry from an earlier run reads the simulator live and must not
-// be snapshotted after a Reset.
-func (s *Simulator) Reset(cfg config.GPUConfig, spec workloads.Spec, opts Options) {
+// the memory system is unchanged — with the same results and dump bytes
+// either way. Results of earlier runs stay valid; a registry from an
+// earlier run reads the simulator live and must not be snapshotted
+// after a Reset. An application without kernels panics.
+func (s *Simulator) Reset(cfg config.GPUConfig, app workloads.App, opts Options) {
+	if len(app.Kernels) == 0 {
+		panic("sim: application has no kernels")
+	}
 	hier, err := cfg.Hierarchy()
 	if err != nil {
 		panic(err)
@@ -173,7 +197,7 @@ func (s *Simulator) Reset(cfg config.GPUConfig, spec workloads.Spec, opts Option
 	old := *s
 	*s = Simulator{
 		cfg:       cfg,
-		spec:      spec,
+		app:       app,
 		opts:      opts,
 		hier:      hier,
 		lineMask:  uint64(cfg.LineBytes - 1),
@@ -209,6 +233,7 @@ func (s *Simulator) Reset(cfg config.GPUConfig, spec workloads.Spec, opts Option
 		s.replyNet = interconnect.New(cfg.NumBanks, cfg.NumSMs, cfg.NoCStageCycles)
 	}
 
+	spec := app.Kernels[0]
 	if !opts.skipSMs {
 		s.buildSMs(spec)
 	} else {
@@ -270,7 +295,6 @@ func (s *Simulator) buildMemory() {
 // DRAM) keeps its state, which is what lets multi-kernel applications
 // observe inter-kernel L2 reuse.
 func (s *Simulator) buildSMs(spec workloads.Spec) {
-	s.spec = spec
 	s.resident = gpu.ResidentWarps(s.cfg.SM, spec.RegsPerThread, spec.ThreadsPerBlock)
 	model := spec.Model()
 	n := s.cfg.NumSMs
@@ -317,10 +341,15 @@ func (s *Simulator) Access(now int64, smID int, addr uint64, write bool) int64 {
 // Banks exposes the L2 banks for characterization experiments.
 func (s *Simulator) Banks() []core.Bank { return s.banks }
 
-// Result is the outcome of one run.
+// Result is the outcome of one run. Its statistics cover the whole
+// application's measured window: every kernel after the warmup boundary.
 type Result struct {
 	Config    string
-	Benchmark string
+	Benchmark string // the application's name; a benchmark's own name
+
+	// Kernels has one row per kernel launch, in launch order. Replays
+	// launch none.
+	Kernels []KernelResult
 
 	Cycles        int64
 	Instructions  uint64
@@ -364,59 +393,84 @@ type TierResult struct {
 	LeakageW       float64
 }
 
-// Run executes the kernel to completion and returns the result.
+// Run executes the application to completion and returns the result.
 func (s *Simulator) Run() Result {
 	r, _ := s.RunContext(context.Background())
 	return r
 }
 
-// RunContext executes the kernel like Run, but stops early — at the next
-// periodic cancellation check, which rides the timer engine so the
-// per-event hot path is untouched — when ctx is cancelled or its
-// deadline passes. On cancellation it returns the statistics accumulated
-// so far (a partial but internally consistent Result) together with
-// ctx's error; a completed run returns a nil error even if ctx was
-// cancelled just after the last cycle.
+// RunContext executes the application like Run, but stops early — at
+// the next periodic cancellation check, which rides the timer engine so
+// the per-event hot path is untouched — when ctx is cancelled or its
+// deadline passes. The in-flight kernel stops there and no further
+// kernel launches. On cancellation it returns the statistics
+// accumulated so far (a partial but internally consistent Result, with
+// a row for every kernel that launched) together with ctx's error; a
+// completed run returns a nil error even if ctx was cancelled just
+// after the last cycle.
 func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	s.ctx = ctx
-	if s.opts.Recording != nil {
-		s.beginRecording(s.spec.Name, s.spec.Hash())
-		s.recordLaunch(s.spec.Name, 0)
+	app := s.app
+	rec := s.opts.Recording
+	if rec != nil {
+		*rec = trace.Recording{Workload: app.Name, WorkloadHash: app.Hash(), Config: s.cfg.Name}
 	}
-	start, end := s.drive(0, s.opts.WarmupInstructions)
-	s.endRecording(end)
-	if s.tracer != nil {
-		s.tracer.Complete(kernelTID, s.spec.Name, 0, end, nil)
-		if start > 0 {
-			s.tracer.Instant(kernelTID, "warmup-reset", start, nil)
+	s.warmLeft = s.opts.WarmupInstructions
+	rows := make([]KernelResult, 0, len(app.Kernels))
+	now := int64(0)
+	for ki, spec := range app.Kernels {
+		if ki > 0 {
+			s.addSMStats(&s.retired)
+			s.buildSMs(spec)
+		}
+		if rec != nil {
+			rec.Phases = append(rec.Phases, trace.Phase{Name: spec.Name, Index: len(rec.Records), Cycle: now})
+		}
+		from := now
+		accBefore, hitBefore := s.bankTotals()
+		warming := s.warmLeft > 0
+		end := s.drive(now, ki == len(app.Kernels)-1)
+		if warming && s.warmLeft == 0 {
+			// The warmup boundary fell in this kernel: the rows measure
+			// the window after it, so the kernels before it measured
+			// nothing and this one counts from the boundary.
+			for i := range rows {
+				rows[i] = KernelResult{Benchmark: rows[i].Benchmark, StartCycle: rows[i].EndCycle, EndCycle: rows[i].EndCycle}
+			}
+			from, accBefore, hitBefore = s.boundary, 0, 0
+		}
+		if s.tracer != nil {
+			s.tracer.Complete(kernelTID, spec.Name, now, end, map[string]any{"kernel": ki})
+		}
+		kr := KernelResult{Benchmark: spec.Name, StartCycle: from, EndCycle: end}
+		for _, sm := range s.sms {
+			kr.Instructions += sm.Stats().Instructions
+		}
+		if end > from {
+			kr.IPC = float64(kr.Instructions) / float64(end-from)
+		}
+		accAfter, hitAfter := s.bankTotals()
+		if da := accAfter - accBefore; da > 0 {
+			kr.L2HitRate = float64(hitAfter-hitBefore) / float64(da)
+		}
+		rows = append(rows, kr)
+		now = end
+		if s.cancelled {
+			break
 		}
 	}
-	r := s.finalizeWindow(start, end)
+	if rec != nil {
+		rec.EndCycle = now
+	}
+	if s.tracer != nil && s.boundary > 0 {
+		s.tracer.Instant(kernelTID, "warmup-reset", s.boundary, nil)
+	}
+	r := s.finalize(s.boundary, now)
+	r.Kernels = rows
 	if s.cancelled {
 		return r, ctx.Err()
 	}
 	return r, nil
-}
-
-// finalizeWindow finalizes the run and, for a warmed-up run (start > 0),
-// rescopes the rate metrics to the measured window: cycles, IPC, and the
-// power window all cover [start, end] only. Replays of warmed recordings
-// go through the same code path, which is what keeps their dumps
-// byte-identical to the recording run's.
-func (s *Simulator) finalizeWindow(start, end int64) Result {
-	r := s.finalize(end)
-	if start > 0 {
-		// Report rates over the measured window only.
-		r.Cycles = end - start
-		if r.Cycles > 0 {
-			r.IPC = float64(r.Instructions) / float64(r.Cycles)
-		}
-		r.Seconds = float64(r.Cycles) / s.cfg.ClockHz
-		r.Power = power.FromBanks(s.flat, r.Seconds)
-		r.DynamicPowerW = r.Power.DynamicW()
-		r.TotalPowerW = r.Power.TotalW()
-	}
-	return r
 }
 
 // peekOr returns the engine's earliest event time, or MaxInt64 when it
@@ -459,9 +513,9 @@ type smActor struct {
 	selfAccounted bool
 }
 
-// drive advances the simulation from start on the event engine until
-// every SM retires (or MaxCycles is reached, measured past the warmup
-// boundary) and returns the warmup boundary cycle and the final cycle.
+// drive advances the loaded kernel from start on the event engine until
+// every SM retires (or, past the warmup boundary, the absolute cycle
+// MaxCycles is reached) and returns the final cycle.
 //
 // One engine carries the SM wake events: each SM schedules itself at
 // its NextWake time (priority = SM ID, preserving the per-cycle step
@@ -475,14 +529,16 @@ type smActor struct {
 // state (observers, the C4 controller, the warmup reset, finalize)
 // catches it up to its own cycle first.
 //
-// A positive warmupBudget makes the warmup boundary an event on the
-// same timeline — once the budget is spent, statistics reset in place
-// and the run continues — rather than a separate stepping loop.
-func (s *Simulator) drive(start int64, warmupBudget uint64) (boundary, end int64) {
+// A positive s.warmLeft makes the warmup boundary an event on the same
+// timeline — once the budget is spent, statistics reset in place and
+// the run continues — rather than a separate stepping loop. A kernel
+// that retires inside the budget leaves the rest of it in s.warmLeft
+// for the next kernel; the last kernel (last) resets at its end.
+func (s *Simulator) drive(start int64, last bool) (end int64) {
 	if s.cancellable() && s.ctx.Err() != nil {
 		// Cancelled before the first cycle: nothing ran, nothing to settle.
 		s.cancelled = true
-		return start, start
+		return start
 	}
 	eng, timers := s.engines(start)
 	// obsSched/obsFired count the observer ticks' events so they can be
@@ -578,7 +634,7 @@ func (s *Simulator) drive(start int64, warmupBudget uint64) (boundary, end int64
 	}
 
 	now := start
-	boundary = start
+	warmupBudget := s.warmLeft
 	warming := warmupBudget > 0
 	// nextEvent is a lower bound on the engine's earliest pending wake
 	// (exact after every RunUntil, lowered on every schedule): visited
@@ -600,14 +656,13 @@ func (s *Simulator) drive(start int64, warmupBudget uint64) (boundary, end int64
 	// visited-cycle index (seq) that store-stall settlement relies on.
 	visitedThrough := start
 	for {
-		if warming && (issuedTotal >= warmupBudget || live == 0) {
+		if warming && issuedTotal >= warmupBudget {
 			// The warmup boundary. Unsettled stall debt predates the
 			// boundary and dies with the stats.
 			s.warmupReset(now)
 			for _, a := range actors {
 				a.lastSeq = seq - 1
 			}
-			boundary = now
 			warming = false
 		}
 		if !warming && s.opts.MaxCycles > 0 && now >= s.opts.MaxCycles {
@@ -712,14 +767,18 @@ func (s *Simulator) drive(start int64, warmupBudget uint64) (boundary, end int64
 		}
 		now = next
 	}
-	if warming {
-		// The workload retired inside the warmup budget: the boundary is
-		// the end of the run and the measured window is empty.
+	switch {
+	case warming && last:
+		// The application retired inside the warmup budget: the boundary
+		// is the end of the run and the measured window is empty.
 		s.warmupReset(now)
 		for _, a := range actors {
 			a.lastSeq = seq - 1
 		}
-		boundary = now
+	case warming:
+		// Every issue while warming is followed by a boundary check, so
+		// the kernel spent less than the budget.
+		s.warmLeft -= issuedTotal
 	}
 	for _, a := range actors {
 		if a.selfAccounted {
@@ -733,7 +792,7 @@ func (s *Simulator) drive(start int64, warmupBudget uint64) (boundary, end int64
 	}
 	s.engSched += eng.ScheduledTotal() + timers.ScheduledTotal() - pollSched - obsSched
 	s.engFired += eng.FiredTotal() + timers.FiredTotal() - pollFired - obsFired
-	return boundary, now
+	return now
 }
 
 // engines returns the SM and timer engines, reset to start.
@@ -747,11 +806,12 @@ func (s *Simulator) engines(start int64) (eng, timers *engine.Engine) {
 	return s.eng, s.timers
 }
 
-// warmupReset applies the warmup boundary at cycle now, in live runs and
-// replays alike: retention scans due strictly before the boundary land
-// in the warmup window, then every statistic resets in place while
-// cache contents and timing state are kept.
+// warmupReset applies the warmup boundary at cycle now: retention scans
+// due strictly before the boundary land in the warmup window, then every
+// statistic resets in place while cache contents and timing state are
+// kept.
 func (s *Simulator) warmupReset(now int64) {
+	s.warmLeft, s.boundary, s.retired = 0, now, Result{}
 	for _, sm := range s.sms {
 		sm.ResetStats()
 	}
@@ -817,14 +877,56 @@ func (s *Simulator) auditBank(bi int, b core.Bank, now int64) {
 	}
 }
 
-func (s *Simulator) finalize(now int64) Result {
+// finalize drains the memory system at cycle end and reports the run.
+// The rate metrics — cycles, IPC, the power window — cover the measured
+// window [start, end]: the whole run, or a warmed-up run's part after
+// its boundary. Replays of warmed recordings go through the same code,
+// which is what keeps their dumps byte-identical to the recording run's.
+func (s *Simulator) finalize(start, end int64) Result {
+	p := &s.retired
 	r := Result{
 		Config:        s.cfg.Name,
-		Benchmark:     s.spec.Name,
-		Cycles:        now,
+		Benchmark:     s.app.Name,
+		Cycles:        end - start,
+		Instructions:  p.Instructions,
 		ResidentWarps: s.resident,
+		L1:            p.L1,
+		Const:         p.Const,
+		Tex:           p.Tex,
+		SM:            p.SM,
 	}
 	r.Bank.RewriteIntervals = core.NewRewriteHistogram()
+	s.addSMStats(&r)
+	if r.Cycles > 0 {
+		r.IPC = float64(r.Instructions) / float64(r.Cycles)
+	}
+	r.Seconds = float64(r.Cycles) / s.cfg.ClockHz
+
+	// Drain each chain top-down so an upper tier's final writebacks land
+	// in the tier below before that one drains in turn.
+	fi := 0
+	for _, chain := range s.tiers {
+		for _, t := range chain {
+			t.Tick(end)
+			t.Drain(end)
+			s.auditBank(fi, t, end)
+			fi++
+		}
+		mergeBankStats(&r.Bank, chain[0].Stats())
+	}
+	if len(s.hier) > 1 {
+		r.Tiers = s.tierResults()
+	}
+	r.Power = power.FromBanks(s.flat, r.Seconds)
+	r.DynamicEnergyJ = r.Power.DynamicEnergyJ()
+	r.DynamicPowerW = r.Power.DynamicW()
+	r.LeakagePowerW = r.Power.LeakageW
+	r.TotalPowerW = r.Power.TotalW()
+	return r
+}
+
+// addSMStats adds the loaded kernel's SM-side statistics to r.
+func (s *Simulator) addSMStats(r *Result) {
 	for _, sm := range s.sms {
 		st := sm.Stats()
 		r.Instructions += st.Instructions
@@ -840,32 +942,6 @@ func (s *Simulator) finalize(now int64) Result {
 		mergeCacheStats(&r.Const, sm.ConstStats())
 		mergeCacheStats(&r.Tex, sm.TexStats())
 	}
-	if now > 0 {
-		r.IPC = float64(r.Instructions) / float64(now)
-	}
-	r.Seconds = float64(now) / s.cfg.ClockHz
-
-	// Drain each chain top-down so an upper tier's final writebacks land
-	// in the tier below before that one drains in turn.
-	fi := 0
-	for _, chain := range s.tiers {
-		for _, t := range chain {
-			t.Tick(now)
-			t.Drain(now)
-			s.auditBank(fi, t, now)
-			fi++
-		}
-		mergeBankStats(&r.Bank, chain[0].Stats())
-	}
-	if len(s.hier) > 1 {
-		r.Tiers = s.tierResults()
-	}
-	r.Power = power.FromBanks(s.flat, r.Seconds)
-	r.DynamicEnergyJ = r.Power.DynamicEnergyJ()
-	r.DynamicPowerW = r.Power.DynamicW()
-	r.LeakagePowerW = r.Power.LeakageW
-	r.TotalPowerW = r.Power.TotalW()
-	return r
 }
 
 // tierResults rolls each hierarchy level up across the banks, appending
@@ -956,7 +1032,10 @@ func newReplaySimulator(cfg config.GPUConfig, name string) *Simulator {
 	}, Options{skipSMs: true})
 }
 
-// KernelResult summarizes one kernel launch within an application.
+// KernelResult summarizes one kernel launch within an application run.
+// Its counts cover the kernel's part of the measured window: a warmed-up
+// run's rows start at the warmup boundary, so a kernel that retired
+// before it reports an empty window at its end cycle.
 type KernelResult struct {
 	Benchmark    string
 	StartCycle   int64
@@ -965,21 +1044,6 @@ type KernelResult struct {
 	IPC          float64
 	// L2HitRate covers only this kernel's bank accesses.
 	L2HitRate float64
-}
-
-// AppResult is the outcome of a multi-kernel application run.
-type AppResult struct {
-	App     string
-	Config  string
-	Kernels []KernelResult
-
-	Cycles       int64
-	Instructions uint64
-	IPC          float64
-
-	// Final cumulative state (bank stats and power cover the whole
-	// application).
-	Final Result
 }
 
 // bankTotals snapshots the cumulative hit/access counters of the banks.
@@ -992,80 +1056,16 @@ func (s *Simulator) bankTotals() (accesses, hits uint64) {
 	return accesses, hits
 }
 
-// RunApp executes a multi-kernel application: kernels launch
-// back-to-back on the same memory system, so the L2 contents written by
-// one kernel are visible to the next.
-func RunApp(cfg config.GPUConfig, app workloads.App, opts Options) AppResult {
-	if len(app.Kernels) == 0 {
-		panic("sim: application has no kernels")
-	}
-	ar, _ := New(cfg, app.Kernels[0], opts).RunAppContext(context.Background(), app)
-	return ar
+// AppResult is RunApp's outcome: the application's Result.
+type AppResult struct {
+	Final Result
 }
 
-// RunAppContext executes a multi-kernel application like RunApp, on s
-// as New or Reset built it for app.Kernels[0]. A cancelled ctx stops
-// the in-flight kernel at its next periodic cancellation check and
-// launches no further kernels. The returned AppResult covers everything
-// that ran (the interrupted kernel's row included, partially filled);
-// the error is ctx's error, or nil if every kernel completed.
-func (s *Simulator) RunAppContext(ctx context.Context, app workloads.App) (AppResult, error) {
-	s.ctx = ctx
-	if s.opts.Recording != nil {
-		s.beginRecording(app.Name, app.Hash())
-	}
-	ar := AppResult{App: app.Name, Config: s.cfg.Name}
-	now := int64(0)
-	for ki, spec := range app.Kernels {
-		if ki > 0 {
-			s.buildSMs(spec)
-		}
-		s.recordLaunch(spec.Name, now)
-		accBefore, hitBefore := s.bankTotals()
-		_, end := s.drive(now, 0)
-		if s.tracer != nil {
-			s.tracer.Complete(kernelTID, spec.Name, now, end,
-				map[string]any{"kernel": ki})
-		}
-		var instr uint64
-		for _, sm := range s.sms {
-			instr += sm.Stats().Instructions
-		}
-		accAfter, hitAfter := s.bankTotals()
-		kr := KernelResult{
-			Benchmark:    spec.Name,
-			StartCycle:   now,
-			EndCycle:     end,
-			Instructions: instr,
-		}
-		if end > now {
-			kr.IPC = float64(instr) / float64(end-now)
-		}
-		if da := accAfter - accBefore; da > 0 {
-			kr.L2HitRate = float64(hitAfter-hitBefore) / float64(da)
-		}
-		ar.Kernels = append(ar.Kernels, kr)
-		ar.Instructions += instr
-		now = end
-		if s.cancelled {
-			break
-		}
-	}
-	ar.Cycles = now
-	s.endRecording(now)
-	if now > 0 {
-		ar.IPC = float64(ar.Instructions) / float64(now)
-	}
-	ar.Final = s.finalize(now)
-	ar.Final.Benchmark = app.Name
-	// The final Result's instruction counters only cover the last
-	// kernel's SMs; patch in the application totals.
-	ar.Final.Instructions = ar.Instructions
-	ar.Final.IPC = ar.IPC
-	if s.cancelled {
-		return ar, ctx.Err()
-	}
-	return ar, nil
+// RunApp runs an application on a new simulator.
+func RunApp(cfg config.GPUConfig, app workloads.App, opts Options) AppResult {
+	s := new(Simulator)
+	s.Reset(cfg, app, opts)
+	return AppResult{Final: s.Run()}
 }
 
 // Record runs one benchmark on one configuration with Options.Recording
@@ -1074,24 +1074,4 @@ func (s *Simulator) RunAppContext(ctx context.Context, app workloads.App) (AppRe
 func Record(cfg config.GPUConfig, spec workloads.Spec, opts Options) (Result, *trace.Recording) {
 	opts.Recording = new(trace.Recording)
 	return New(cfg, spec, opts).Run(), opts.Recording
-}
-
-// beginRecording replaces the recording's contents with the identity of
-// the workload about to run.
-func (s *Simulator) beginRecording(name, hash string) {
-	*s.opts.Recording = trace.Recording{Workload: name, WorkloadHash: hash, Config: s.cfg.Name}
-}
-
-// recordLaunch marks a kernel launch at cycle now in the recording.
-func (s *Simulator) recordLaunch(name string, now int64) {
-	if rec := s.opts.Recording; rec != nil {
-		rec.Phases = append(rec.Phases, trace.Phase{Name: name, Index: len(rec.Records), Cycle: now})
-	}
-}
-
-// endRecording stamps the run's final cycle on the recording.
-func (s *Simulator) endRecording(end int64) {
-	if rec := s.opts.Recording; rec != nil {
-		rec.EndCycle = end
-	}
 }

@@ -206,19 +206,20 @@ func TestRunAppMultiKernel(t *testing.T) {
 		app.Kernels[i] = app.Kernels[i].Scale(0.05)
 		app.Kernels[i].WarpsPerSM = 6
 	}
-	ar := RunApp(config.C1(), app, Options{})
-	if len(ar.Kernels) != 2 {
-		t.Fatalf("kernels = %d", len(ar.Kernels))
+	r := RunApp(config.C1(), app, Options{}).Final
+	if len(r.Kernels) != 2 {
+		t.Fatalf("kernels = %d", len(r.Kernels))
 	}
-	k0, k1 := ar.Kernels[0], ar.Kernels[1]
-	if k0.StartCycle != 0 || k1.StartCycle != k0.EndCycle {
-		t.Errorf("kernel boundaries wrong: %+v %+v", k0, k1)
+	k0, k1 := r.Kernels[0], r.Kernels[1]
+	if k0.StartCycle != 0 || k1.StartCycle != k0.EndCycle || r.Cycles != k1.EndCycle {
+		t.Errorf("kernel boundaries wrong: %+v %+v, %d cycles", k0, k1, r.Cycles)
 	}
-	if ar.Instructions != k0.Instructions+k1.Instructions {
-		t.Errorf("instruction totals wrong")
+	if r.Instructions != k0.Instructions+k1.Instructions || r.SM.Instructions != r.Instructions {
+		t.Errorf("instruction totals wrong: %d and %d, kernels ran %d and %d",
+			r.Instructions, r.SM.Instructions, k0.Instructions, k1.Instructions)
 	}
-	if ar.Final.Instructions != ar.Instructions || ar.Final.IPC != ar.IPC {
-		t.Errorf("final result not patched with app totals")
+	if r.IPC != float64(r.Instructions)/float64(r.Cycles) {
+		t.Errorf("IPC %v is not the application's", r.IPC)
 	}
 	// The second launch of the same kernel finds its data resident:
 	// hit rate must be clearly higher than the cold first launch.
@@ -240,8 +241,7 @@ func TestRunAppProducerConsumerReuse(t *testing.T) {
 	// C1 (everything fits) the consumer should start warm, whereas the
 	// cold consumer run alone would miss. Compare consumer hit rate in
 	// the pipeline against a standalone cold run.
-	ar := RunApp(config.C1(), app, Options{})
-	consumer := ar.Kernels[1]
+	consumer := RunApp(config.C1(), app, Options{}).Final.Kernels[1]
 	cold := New(config.C1(), app.Kernels[1], Options{}).Run()
 	if consumer.L2HitRate <= cold.Bank.HitRate() {
 		t.Errorf("pipelined consumer hit rate (%v) should exceed cold standalone (%v)",
@@ -334,12 +334,12 @@ func TestAllAppsRunOnAllConfigs(t *testing.T) {
 			app.Kernels[i].WarpsPerSM = 4
 		}
 		for _, cfg := range config.All() {
-			ar := RunApp(cfg, app, Options{MaxCycles: 10_000_000})
-			if ar.Instructions == 0 {
+			r := RunApp(cfg, app, Options{MaxCycles: 10_000_000}).Final
+			if r.Instructions == 0 {
 				t.Errorf("%s on %s executed nothing", app.Name, cfg.Name)
 			}
-			if len(ar.Kernels) != len(app.Kernels) {
-				t.Errorf("%s on %s: %d kernel results", app.Name, cfg.Name, len(ar.Kernels))
+			if len(r.Kernels) != len(app.Kernels) {
+				t.Errorf("%s on %s: %d kernel results", app.Name, cfg.Name, len(r.Kernels))
 			}
 		}
 	}

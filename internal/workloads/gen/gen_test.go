@@ -2,7 +2,6 @@ package gen
 
 import (
 	"bytes"
-	"context"
 	"sync"
 	"testing"
 
@@ -71,7 +70,7 @@ func TestGeneratorRecordingByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := new(trace.Recording)
-		res, _ := sim.New(cfg, app.Kernels[0], sim.Options{Recording: rec}).RunAppContext(context.Background(), app)
+		res := sim.RunApp(cfg, app, sim.Options{Recording: rec})
 		var recBuf bytes.Buffer
 		if err := trace.WriteRecording(&recBuf, rec); err != nil {
 			t.Fatal(err)
@@ -146,7 +145,7 @@ func TestGeneratedAppAllOrganizations(t *testing.T) {
 			InvariantCheck: func(bank int, b core.Bank, now int64) error {
 				return refmodel.CheckBank(b, now)
 			},
-		})
+		}).Final
 		if res.Instructions == 0 || res.Cycles == 0 {
 			t.Errorf("%s: generated app ran no work (instr=%d cycles=%d)", name, res.Instructions, res.Cycles)
 		}

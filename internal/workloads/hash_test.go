@@ -55,6 +55,14 @@ func TestContentHashDomainSeparation(t *testing.T) {
 	if s.Hash() == a.Hash() {
 		t.Error("Spec and App hashes collide")
 	}
+	// Single is the benchmark itself, not an application wrapping it:
+	// it keeps the spec's address, and adds nothing to an App's.
+	if Single(s).Hash() != s.Hash() {
+		t.Error("a benchmark's application does not hash as its spec")
+	}
+	if sp, _ := AppByName("srad-pipeline"); sp.Hash() != "04a9d7c8fdb34a1c5433b388d3a5c2ca" {
+		t.Errorf("srad-pipeline hashes to %s; application addresses must not move", sp.Hash())
+	}
 	if len(ContentHash("x/v1", 42)) != 32 {
 		t.Error("tagged hash is not 32 hex chars")
 	}

@@ -683,6 +683,18 @@ type App struct {
 	Name        string
 	Description string
 	Kernels     []Spec
+	// bench marks the one-kernel application Single makes of a
+	// benchmark. Unexported, so it stays out of App.Hash's encoding.
+	bench bool
+}
+
+// Single is the application a benchmark runs as: its one kernel under
+// the benchmark's name. It keeps the benchmark's identity — Hash is the
+// spec's own content address — so a benchmark recording names its
+// workload the same way however it was made. A one-kernel App built any
+// other way (a generator draw, say) is an application and hashes as one.
+func Single(s Spec) App {
+	return App{Name: s.Name, Kernels: []Spec{s}, bench: true}
 }
 
 // Apps returns composite applications built from suite kernels. Each
