@@ -241,10 +241,11 @@ func BenchmarkSimulatorReset(b *testing.B) {
 	spec.WarpsPerSM = 6
 	cfg := config.C1()
 	s := sim.New(cfg, spec, sim.Options{})
+	app := workloads.Single(spec)
 	b.ResetTimer()
 	var instrs uint64
 	for i := 0; i < b.N; i++ {
-		s.Reset(cfg, workloads.Single(spec), sim.Options{})
+		s.Reset(cfg, app, sim.Options{})
 		instrs += s.Run().Instructions
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")

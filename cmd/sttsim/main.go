@@ -29,7 +29,9 @@
 //
 // Ctrl-C (or an expired -timeout) stops the run at the simulator's next
 // periodic cancellation check; the partial result simulated so far is
-// still reported, flagged as partial on stderr.
+// still reported, flagged as partial on stderr — an application's with
+// a row per kernel that launched, and an empty window if the warmup had
+// not ended.
 package main
 
 import (

@@ -234,11 +234,12 @@ func FormatAblation(rows []AblationRow) string {
 }
 
 // RunResultString summarizes one raw run (used by cmd/sttsim): an
-// application of several kernels as one row per kernel plus its totals,
-// anything else — a benchmark, a replay — in full.
+// application of several kernels — partial ones included — as one row
+// per kernel plus its totals, anything else — a benchmark, a replay —
+// in full.
 func RunResultString(r sim.Result) string {
 	var b strings.Builder
-	if len(r.Kernels) > 1 {
+	if r.Kernels != nil {
 		fmt.Fprintf(&b, "application=%s config=%s\n", r.Benchmark, r.Config)
 		for _, k := range r.Kernels {
 			fmt.Fprintf(&b, "  kernel %-14s cycles=%d IPC=%.4f L2hit=%.3f\n",

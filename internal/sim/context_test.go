@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -115,21 +116,45 @@ func TestRunContextCancelStopsKernels(t *testing.T) {
 	for i := range app.Kernels {
 		app.Kernels[i] = app.Kernels[i].Scale(50)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	s := new(Simulator)
-	s.Reset(cfg, app, Options{})
-	r, err := s.RunContext(ctx)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(r.Kernels) == 0 {
-		t.Fatalf("cancelled app reports no kernel rows, want the interrupted kernel's partial row")
-	}
-	if len(r.Kernels) == len(app.Kernels) && r.Kernels[len(r.Kernels)-1].EndCycle == 0 {
-		t.Errorf("all kernels reported despite cancellation")
+	for _, tc := range []struct {
+		name   string
+		warmup uint64
+	}{
+		{"cold", 0},
+		// A budget the application never spends: the cancel lands in
+		// kernel 0 while warming, so nothing was measured.
+		{"warming", math.MaxUint64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(20 * time.Millisecond)
+				cancel()
+			}()
+			s := new(Simulator)
+			s.Reset(cfg, app, Options{WarmupInstructions: tc.warmup})
+			r, err := s.RunContext(ctx)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if len(r.Kernels) == 0 {
+				t.Fatalf("cancelled app reports no kernel rows, want the interrupted kernel's partial row")
+			}
+			if len(r.Kernels) == len(app.Kernels) && r.Kernels[len(r.Kernels)-1].EndCycle == 0 {
+				t.Errorf("all kernels reported despite cancellation")
+			}
+			if tc.warmup == 0 {
+				return
+			}
+			if r.Cycles != 0 || r.Instructions != 0 || r.Bank.Reads+r.Bank.Writes != 0 {
+				t.Errorf("cancelled while warming: cycles=%d instructions=%d L2 accesses=%d, want an empty window",
+					r.Cycles, r.Instructions, r.Bank.Reads+r.Bank.Writes)
+			}
+			for _, k := range r.Kernels {
+				if k.StartCycle != k.EndCycle || k.Instructions != 0 {
+					t.Errorf("kernel %s row %+v, want an empty window", k.Benchmark, k)
+				}
+			}
+		})
 	}
 }

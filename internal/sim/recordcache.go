@@ -17,7 +17,7 @@ import (
 // it covers the recording configuration, the workload content hash, and
 // the run-shaping options (cycle budget, warmup). Two requests with
 // equal keys would record byte-identical streams, so they can share one.
-func RecordingKey(cfg config.GPUConfig, spec workloads.Spec, opts Options) string {
+func RecordingKey(cfg config.GPUConfig, app workloads.App, opts Options) string {
 	cfgJSON, err := json.Marshal(cfg)
 	if err != nil {
 		// GPUConfig is scalars and strings; this cannot fail.
@@ -25,7 +25,7 @@ func RecordingKey(cfg config.GPUConfig, spec workloads.Spec, opts Options) strin
 	}
 	h := sha256.New()
 	h.Write(cfgJSON)
-	fmt.Fprintf(h, "|%s|%d|%d", spec.Hash(), opts.MaxCycles, opts.WarmupInstructions)
+	fmt.Fprintf(h, "|%s|%d|%d", app.Hash(), opts.MaxCycles, opts.WarmupInstructions)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
@@ -60,11 +60,11 @@ func NewRecordingCache(max int) *RecordingCache {
 	return &RecordingCache{max: max, entries: make(map[string]*recEntry)}
 }
 
-// Get returns the Recording for the given workload/config/options,
+// Get returns the Recording for the given application/config/options,
 // recording it on first use (Stats counts which Gets shared one). The
 // returned Recording is shared and must be treated as read-only.
-func (c *RecordingCache) Get(ctx context.Context, cfg config.GPUConfig, spec workloads.Spec, opts Options) (*trace.Recording, error) {
-	key := RecordingKey(cfg, spec, opts)
+func (c *RecordingCache) Get(ctx context.Context, cfg config.GPUConfig, app workloads.App, opts Options) (*trace.Recording, error) {
+	key := RecordingKey(cfg, app, opts)
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
@@ -110,7 +110,9 @@ func (c *RecordingCache) Get(ctx context.Context, cfg config.GPUConfig, spec wor
 			close(e.ready)
 		}()
 		opts.Recording = new(trace.Recording)
-		_, e.err = New(cfg, spec, opts).RunContext(ctx)
+		s := new(Simulator)
+		s.Reset(cfg, app, opts)
+		_, e.err = s.RunContext(ctx)
 		e.rec = opts.Recording
 		finished = true
 		return e.rec, e.err

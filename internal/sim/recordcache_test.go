@@ -9,32 +9,36 @@ import (
 
 	"sttllc/internal/config"
 	"sttllc/internal/trace"
+	"sttllc/internal/workloads"
 )
 
 func TestRecordingKeyCoversContent(t *testing.T) {
 	spec := sweepSpec()
-	base := RecordingKey(config.C1(), spec, Options{})
+	gen := workloads.App{Name: spec.Name, Kernels: []workloads.Spec{spec}}
+	base := RecordingKey(config.C1(), workloads.Single(spec), Options{})
 	if len(base) != 32 {
 		t.Errorf("key length = %d, want 32 hex chars", len(base))
 	}
 	for name, other := range map[string]string{
-		"config": RecordingKey(config.C2(), spec, Options{}),
-		"spec":   RecordingKey(config.C1(), spec.Scale(0.5), Options{}),
-		"cycles": RecordingKey(config.C1(), spec, Options{MaxCycles: 1000}),
-		"warmup": RecordingKey(config.C1(), spec, Options{WarmupInstructions: 1000}),
+		"config": RecordingKey(config.C2(), workloads.Single(spec), Options{}),
+		"spec":   RecordingKey(config.C1(), workloads.Single(spec.Scale(0.5)), Options{}),
+		"cycles": RecordingKey(config.C1(), workloads.Single(spec), Options{MaxCycles: 1000}),
+		"warmup": RecordingKey(config.C1(), workloads.Single(spec), Options{WarmupInstructions: 1000}),
+		// A one-kernel application is not its kernel's benchmark.
+		"app": RecordingKey(config.C1(), gen, Options{}),
 	} {
 		if other == base {
 			t.Errorf("%s change did not change the key", name)
 		}
 	}
-	if again := RecordingKey(config.C1(), spec, Options{}); again != base {
+	if again := RecordingKey(config.C1(), workloads.Single(spec), Options{}); again != base {
 		t.Errorf("key not deterministic: %s vs %s", again, base)
 	}
 }
 
 func TestRecordingCacheSharesAcrossCallers(t *testing.T) {
 	c := NewRecordingCache(4)
-	spec := sweepSpec()
+	app := workloads.Single(sweepSpec())
 	const callers = 8
 	var wg sync.WaitGroup
 	dumps := make([]string, callers)
@@ -42,7 +46,7 @@ func TestRecordingCacheSharesAcrossCallers(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			rec, err := c.Get(context.Background(), config.C1(), spec, Options{})
+			rec, err := c.Get(context.Background(), config.C1(), app, Options{})
 			if err != nil {
 				t.Errorf("get: %v", err)
 				return
@@ -71,20 +75,20 @@ func TestRecordingCacheSharesAcrossCallers(t *testing.T) {
 func TestRecordingCacheKeysByContent(t *testing.T) {
 	c := NewRecordingCache(4)
 	ctx := context.Background()
-	spec := sweepSpec()
-	if _, err := c.Get(ctx, config.C1(), spec, Options{}); err != nil {
+	app := workloads.Single(sweepSpec())
+	if _, err := c.Get(ctx, config.C1(), app, Options{}); err != nil {
 		t.Fatalf("first get: %v", err)
 	}
 	if hits, misses := c.Stats(); hits != 0 || misses != 1 {
 		t.Fatalf("first get: hits=%d misses=%d, want a fresh recording", hits, misses)
 	}
-	if _, err := c.Get(ctx, config.C1(), spec, Options{}); err != nil {
+	if _, err := c.Get(ctx, config.C1(), app, Options{}); err != nil {
 		t.Errorf("repeat get: %v", err)
 	}
 	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
 		t.Errorf("repeat get not shared: hits=%d misses=%d", hits, misses)
 	}
-	if _, err := c.Get(ctx, config.C2(), spec, Options{}); err != nil {
+	if _, err := c.Get(ctx, config.C2(), app, Options{}); err != nil {
 		t.Errorf("different config: %v", err)
 	}
 	if hits, misses := c.Stats(); hits != 1 || misses != 2 {
@@ -98,18 +102,18 @@ func TestRecordingCacheKeysByContent(t *testing.T) {
 func TestRecordingCacheBounded(t *testing.T) {
 	c := NewRecordingCache(1)
 	ctx := context.Background()
-	spec := sweepSpec()
-	if _, err := c.Get(ctx, config.C1(), spec, Options{}); err != nil {
+	app := workloads.Single(sweepSpec())
+	if _, err := c.Get(ctx, config.C1(), app, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(ctx, config.C2(), spec, Options{}); err != nil {
+	if _, err := c.Get(ctx, config.C2(), app, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 1 {
 		t.Errorf("cache holds %d entries, want bound of 1", c.Len())
 	}
 	// The evicted key re-records rather than failing.
-	if rec, err := c.Get(ctx, config.C1(), spec, Options{}); err != nil || rec == nil {
+	if rec, err := c.Get(ctx, config.C1(), app, Options{}); err != nil || rec == nil {
 		t.Errorf("re-get after eviction: rec=%v err=%v", rec, err)
 	}
 }
@@ -122,7 +126,7 @@ func TestRecordingCacheBounded(t *testing.T) {
 // would make the final Get block forever).
 func TestRecordingCacheCancelHammer(t *testing.T) {
 	c := NewRecordingCache(4)
-	spec := sweepSpec()
+	app := workloads.Single(sweepSpec())
 	const callers = 24
 	var wg sync.WaitGroup
 	for g := 0; g < callers; g++ {
@@ -136,7 +140,7 @@ func TestRecordingCacheCancelHammer(t *testing.T) {
 				timer := time.AfterFunc(delay, cancel)
 				defer timer.Stop()
 			}
-			rec, err := c.Get(ctx, config.C1(), spec, Options{})
+			rec, err := c.Get(ctx, config.C1(), app, Options{})
 			if err == nil && rec == nil {
 				t.Error("nil recording with nil error")
 			}
@@ -149,7 +153,7 @@ func TestRecordingCacheCancelHammer(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		rec, err = c.Get(context.Background(), config.C1(), spec, Options{})
+		rec, err = c.Get(context.Background(), config.C1(), app, Options{})
 	}()
 	select {
 	case <-done:
@@ -171,7 +175,7 @@ func TestRecordingCacheReleasesOnPanic(t *testing.T) {
 	c := NewRecordingCache(4)
 	bad := config.C1()
 	bad.ClockHz = 0 // constructor panics on a non-positive clock
-	spec := sweepSpec()
+	app := workloads.Single(sweepSpec())
 
 	func() {
 		defer func() {
@@ -179,7 +183,7 @@ func TestRecordingCacheReleasesOnPanic(t *testing.T) {
 				t.Fatal("expected the recording run to panic")
 			}
 		}()
-		c.Get(context.Background(), bad, spec, Options{})
+		c.Get(context.Background(), bad, app, Options{})
 	}()
 	if c.Len() != 0 {
 		t.Fatalf("panicked recording left %d pinned entries", c.Len())
@@ -191,7 +195,7 @@ func TestRecordingCacheReleasesOnPanic(t *testing.T) {
 	go func() {
 		defer close(done)
 		defer func() { recover() }()
-		c.Get(context.Background(), bad, spec, Options{})
+		c.Get(context.Background(), bad, app, Options{})
 	}()
 	select {
 	case <-done:
@@ -202,16 +206,17 @@ func TestRecordingCacheReleasesOnPanic(t *testing.T) {
 
 func TestRecordingCacheDoesNotCacheFailures(t *testing.T) {
 	c := NewRecordingCache(4)
+	app := workloads.Single(sweepSpec())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Get(ctx, config.C1(), sweepSpec(), Options{}); err == nil {
+	if _, err := c.Get(ctx, config.C1(), app, Options{}); err == nil {
 		t.Fatal("cancelled get returned nil error")
 	}
 	if c.Len() != 0 {
 		t.Errorf("failed recording cached: %d entries", c.Len())
 	}
 	// A healthy caller after the failure records successfully.
-	rec, err := c.Get(context.Background(), config.C1(), sweepSpec(), Options{})
+	rec, err := c.Get(context.Background(), config.C1(), app, Options{})
 	if hits, _ := c.Stats(); err != nil || hits != 0 || rec == nil {
 		t.Errorf("retry after failure: hits=%d err=%v", hits, err)
 	}

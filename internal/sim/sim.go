@@ -172,9 +172,13 @@ type nocShape struct {
 // New builds a simulator for a benchmark on the configuration: Reset of
 // an empty Simulator for workloads.Single(spec).
 func New(cfg config.GPUConfig, spec workloads.Spec, opts Options) *Simulator {
-	s := new(Simulator)
-	s.Reset(cfg, workloads.Single(spec), opts)
-	return s
+	// The benchmark's kernel lives in the simulator's own allocation.
+	n := &struct {
+		s      Simulator
+		kernel [1]workloads.Spec
+	}{kernel: [1]workloads.Spec{spec}}
+	n.s.Reset(cfg, workloads.SingleIn(&n.kernel), opts)
+	return &n.s
 }
 
 // Reset rebuilds s for a new run of app on cfg, with app's first kernel
@@ -347,8 +351,9 @@ type Result struct {
 	Config    string
 	Benchmark string // the application's name; a benchmark's own name
 
-	// Kernels has one row per kernel launch, in launch order. Replays
-	// launch none.
+	// Kernels has one row per kernel launch, in launch order, for an
+	// application of more than one kernel. It is nil for one kernel —
+	// a benchmark — whose row is the Result itself, and for replays.
 	Kernels []KernelResult
 
 	Cycles        int64
@@ -405,7 +410,8 @@ func (s *Simulator) Run() Result {
 // deadline passes. The in-flight kernel stops there and no further
 // kernel launches. On cancellation it returns the statistics
 // accumulated so far (a partial but internally consistent Result, with
-// a row for every kernel that launched) together with ctx's error; a
+// a row for every kernel that launched, and an empty measured window if
+// the warmup had not ended) together with ctx's error; a
 // completed run returns a nil error even if ctx was cancelled just
 // after the last cycle.
 func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
@@ -416,7 +422,10 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 		*rec = trace.Recording{Workload: app.Name, WorkloadHash: app.Hash(), Config: s.cfg.Name}
 	}
 	s.warmLeft = s.opts.WarmupInstructions
-	rows := make([]KernelResult, 0, len(app.Kernels))
+	var rows []KernelResult
+	if len(app.Kernels) > 1 {
+		rows = make([]KernelResult, 0, len(app.Kernels))
+	}
 	now := int64(0)
 	for ki, spec := range app.Kernels {
 		if ki > 0 {
@@ -442,18 +451,9 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 		if s.tracer != nil {
 			s.tracer.Complete(kernelTID, spec.Name, now, end, map[string]any{"kernel": ki})
 		}
-		kr := KernelResult{Benchmark: spec.Name, StartCycle: from, EndCycle: end}
-		for _, sm := range s.sms {
-			kr.Instructions += sm.Stats().Instructions
+		if rows != nil {
+			rows = append(rows, s.kernelRow(spec.Name, from, end, accBefore, hitBefore))
 		}
-		if end > from {
-			kr.IPC = float64(kr.Instructions) / float64(end-from)
-		}
-		accAfter, hitAfter := s.bankTotals()
-		if da := accAfter - accBefore; da > 0 {
-			kr.L2HitRate = float64(hitAfter-hitBefore) / float64(da)
-		}
-		rows = append(rows, kr)
 		now = end
 		if s.cancelled {
 			break
@@ -536,8 +536,12 @@ type smActor struct {
 // for the next kernel; the last kernel (last) resets at its end.
 func (s *Simulator) drive(start int64, last bool) (end int64) {
 	if s.cancellable() && s.ctx.Err() != nil {
-		// Cancelled before the first cycle: nothing ran, nothing to settle.
+		// Cancelled before the first cycle: nothing ran, nothing to
+		// settle, and a warmup still running ends with the run.
 		s.cancelled = true
+		if s.warmLeft > 0 {
+			s.warmupReset(start)
+		}
 		return start
 	}
 	eng, timers := s.engines(start)
@@ -768,9 +772,10 @@ func (s *Simulator) drive(start int64, last bool) (end int64) {
 		now = next
 	}
 	switch {
-	case warming && last:
-		// The application retired inside the warmup budget: the boundary
-		// is the end of the run and the measured window is empty.
+	case warming && (last || s.cancelled):
+		// The application retired, or its run was cancelled, inside the
+		// warmup budget: the boundary is the end of the run and the
+		// measured window is empty.
 		s.warmupReset(now)
 		for _, a := range actors {
 			a.lastSeq = seq - 1
@@ -1044,6 +1049,23 @@ type KernelResult struct {
 	IPC          float64
 	// L2HitRate covers only this kernel's bank accesses.
 	L2HitRate float64
+}
+
+// kernelRow is the row of the kernel just driven over [from, end), given
+// the bank totals at from.
+func (s *Simulator) kernelRow(name string, from, end int64, accBefore, hitBefore uint64) KernelResult {
+	kr := KernelResult{Benchmark: name, StartCycle: from, EndCycle: end}
+	for _, sm := range s.sms {
+		kr.Instructions += sm.Stats().Instructions
+	}
+	if end > from {
+		kr.IPC = float64(kr.Instructions) / float64(end-from)
+	}
+	accAfter, hitAfter := s.bankTotals()
+	if da := accAfter - accBefore; da > 0 {
+		kr.L2HitRate = float64(hitAfter-hitBefore) / float64(da)
+	}
+	return kr
 }
 
 // bankTotals snapshots the cumulative hit/access counters of the banks.

@@ -694,7 +694,15 @@ type App struct {
 // workload the same way however it was made. A one-kernel App built any
 // other way (a generator draw, say) is an application and hashes as one.
 func Single(s Spec) App {
-	return App{Name: s.Name, Kernels: []Spec{s}, bench: true}
+	return SingleIn(&[1]Spec{s})
+}
+
+// SingleIn is Single over storage the caller owns: the application's
+// kernel is k[0], aliased rather than copied, so a caller that keeps k
+// inside an object it allocates anyway makes the application without
+// an allocation of its own.
+func SingleIn(k *[1]Spec) App {
+	return App{Name: k[0].Name, Kernels: k[:], bench: true}
 }
 
 // Apps returns composite applications built from suite kernels. Each
