@@ -299,6 +299,20 @@ func TestGoldenGTO(t *testing.T) {
 	}
 }
 
+// TestGoldenManySMs checks a GPU of more than 64 SMs, whose due masks
+// and wakes span several words, cold and warmed.
+func TestGoldenManySMs(t *testing.T) {
+	cfg := manySMs(config.C1())
+	for _, name := range []string{"bfs", "hotspot"} {
+		spec := goldenSpec(t, name)
+		got := New(cfg, spec, Options{}).Run()
+		assertGolden(t, name+"/70sms", got, seedRun(New(cfg, spec, Options{})))
+		opts := Options{WarmupInstructions: got.Instructions / 3}
+		warm := New(cfg, spec, opts).Run()
+		assertGolden(t, name+"/70sms/warmup", warm, seedRun(New(cfg, spec, opts)))
+	}
+}
+
 // TestGoldenApps checks multi-kernel applications: each kernel launch
 // re-enters the drive loop on a shared memory system at a non-zero
 // start cycle. Warmup budgets that end inside the first kernel, at its
@@ -314,6 +328,43 @@ func TestGoldenApps(t *testing.T) {
 			opts := Options{WarmupInstructions: budget}
 			got := RunApp(config.C1(), app, opts).Final
 			assertGolden(t, fmt.Sprintf("%s/warmup=%d", app.Name, budget), got, seedRun(appSim(config.C1(), app, opts)))
+		}
+	}
+}
+
+// TestWarmupSettlesPendingScans puts the warmup boundary just after the
+// first retention-counter boundary, where banks not accessed since still
+// owe that scan. The boundary settles it in the warmup window: the
+// measured retention-counter energy of each bank is the full run's less
+// that of a run cut at the boundary. The runs are bare: an observer's
+// retention-cadence tick would settle the scan before the boundary does.
+func TestWarmupSettlesPendingScans(t *testing.T) {
+	saved := defaultInvariantCheck
+	defaultInvariantCheck = nil
+	defer func() { defaultInvariantCheck = saved }()
+	cfg := config.C1()
+	spec, _ := workloads.ByName("lud")
+	probe := New(cfg, spec, Options{})
+	p := probe.flat[0].TickPeriod()
+	budget := New(cfg, spec, Options{MaxCycles: p + 2}).Run().Instructions
+
+	warm := New(cfg, spec, Options{WarmupInstructions: budget})
+	warm.Run()
+	boundary := warm.boundary
+	if boundary <= p || boundary%p == 0 {
+		t.Fatalf("boundary %d: want it just past the scan at %d", boundary, p)
+	}
+	cold := New(cfg, spec, Options{})
+	cold.Run()
+	cut := New(cfg, spec, Options{MaxCycles: boundary})
+	if c := cut.Run().Cycles; c != boundary {
+		t.Fatalf("cut run ended at %d, want the boundary %d", c, boundary)
+	}
+	for bi := range warm.flat {
+		got := warm.flat[bi].Energy().RCCounters
+		want := cold.flat[bi].Energy().RCCounters - cut.flat[bi].Energy().RCCounters
+		if math.Abs(got-want) > 1e-9*cold.flat[bi].Energy().RCCounters {
+			t.Errorf("bank %d: measured retention-counter energy %g, want %g", bi, got, want)
 		}
 	}
 }
