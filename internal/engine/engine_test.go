@@ -33,18 +33,19 @@ func TestScheduleOrdering(t *testing.T) {
 }
 
 func TestSameCycleTieBreaks(t *testing.T) {
-	// Same cycle: lower priority first; same priority: registration order.
+	// Same cycle: registration order, whether an event waited in the heap
+	// (scheduled beyond the wheel horizon) or in the wheel.
 	e := New(0)
 	var got []string
-	e.schedule(4, 2, func(int64) { got = append(got, "p2-first") })
-	e.schedule(4, 1, func(int64) { got = append(got, "p1") })
-	e.schedule(4, 2, func(int64) { got = append(got, "p2-second") })
-	e.RunUntil(4)
-	want := []string{"p1", "p2-first", "p2-second"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("tie-break order = %v, want %v", got, want)
-		}
+	e.Schedule(wheelSize+4, func(int64) { got = append(got, "far-first") })
+	e.Schedule(wheelSize+4, func(int64) { got = append(got, "far-second") })
+	e.RunUntil(8)
+	e.Schedule(wheelSize+4, func(int64) { got = append(got, "near-first") })
+	e.Schedule(wheelSize+4, func(int64) { got = append(got, "near-second") })
+	e.RunUntil(wheelSize + 4)
+	want := []string{"far-first", "far-second", "near-first", "near-second"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tie-break order = %v, want %v", got, want)
 	}
 }
 
@@ -126,70 +127,9 @@ func TestMonotonicPanics(t *testing.T) {
 	}
 }
 
-func TestWakerMoveAndCancel(t *testing.T) {
-	e := New(0)
-	fired := 0
-	w := e.NewWaker(0, func(int64) { fired++ })
-	w.WakeAt(10)
-	w.WakeAt(5) // moves, not duplicates
-	if at, ok := w.Next(); !ok || at != 5 {
-		t.Fatalf("next = %d,%v want 5,true", at, ok)
-	}
-	e.RunUntil(20)
-	if fired != 1 {
-		t.Fatalf("waker fired %d times, want 1", fired)
-	}
-	if _, ok := w.Next(); ok {
-		t.Error("consumed wake still pending")
-	}
-
-	w.WakeAt(30)
-	w.Cancel()
-	e.RunUntil(40)
-	if fired != 1 || e.Len() != 0 {
-		t.Errorf("cancel leaked: fired=%d len=%d", fired, e.Len())
-	}
-}
-
-func TestWakerSameTimeIsNoop(t *testing.T) {
-	e := New(0)
-	fired := 0
-	w := e.NewWaker(0, func(int64) { fired++ })
-	w.WakeAt(5)
-	w.WakeAt(5)
-	w.WakeAt(5)
-	if e.Len() != 1 {
-		t.Fatalf("re-arming at the same cycle duplicated events: len=%d", e.Len())
-	}
-	e.RunUntil(5)
-	if fired != 1 {
-		t.Errorf("fired %d, want 1", fired)
-	}
-}
-
-func TestWakerPriorityOrder(t *testing.T) {
-	e := New(0)
-	var got []int32
-	var ws []*Waker
-	for prio := int32(4); prio >= 0; prio-- {
-		prio := prio
-		ws = append(ws, e.NewWaker(prio, func(int64) { got = append(got, prio) }))
-	}
-	for _, w := range ws {
-		w.WakeAt(3)
-	}
-	e.RunUntil(3)
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("wakes out of priority order: %v", got)
-		}
-	}
-}
-
 func TestRandomizedAgainstReference(t *testing.T) {
 	// Fuzz the engine against a naive reference: N events at random
-	// times, random cancellations, fired order must match a stable sort
-	// by (at, seq).
+	// times, fired order must match a stable sort by (at, seq).
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		e := New(0)
@@ -225,24 +165,26 @@ func TestRandomizedAgainstReference(t *testing.T) {
 }
 
 func TestWheelBucketReuseAfterJump(t *testing.T) {
-	// A canceled near event must not pollute its bucket for later events
+	// A fired near event must not pollute its bucket for later events
 	// that hash to the same slot after a big clock jump.
 	e := New(0)
-	w := e.NewWaker(0, func(int64) { t.Error("canceled wake fired") })
-	w.WakeAt(10)
-	w.Cancel()
-	e.RunUntil(70)
-	fired := false
-	e.Schedule(74, func(now int64) { fired = now == 74 }) // bucket 10 again
-	e.RunUntil(100)
-	if !fired {
-		t.Error("event in reused bucket did not fire")
+	fired := 0
+	e.Schedule(10, func(int64) { fired++ })
+	e.RunUntil(wheelSize + 5)
+	e.Schedule(wheelSize+10, func(now int64) { // bucket 10 again
+		if now == wheelSize+10 {
+			fired++
+		}
+	})
+	e.RunUntil(2 * wheelSize)
+	if fired != 2 {
+		t.Errorf("fired %d events, want both", fired)
 	}
 }
 
-// An engine reset mid-timeline — live near and far events, wakers,
-// cancellations parked in the heap — must run a new script exactly as a
-// fresh engine does: same fire times, same order, same totals.
+// An engine reset mid-timeline — live near and far events — must run a
+// new script exactly as a fresh engine does: same fire times, same
+// order, same totals.
 func TestResetMatchesNew(t *testing.T) {
 	type fire struct {
 		at int64
@@ -250,22 +192,10 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 	script := func(e *Engine, rng *rand.Rand) []fire {
 		var got []fire
-		var ws []*Waker
-		for i := 0; i < 8; i++ {
-			i := i
-			ws = append(ws, e.NewWaker(int32(i%3), func(now int64) { got = append(got, fire{now, -i}) }))
-		}
 		for step := 0; step < 300; step++ {
 			at := e.Now() + int64(rng.Intn(2000))
-			switch k := rng.Intn(4); k {
-			case 0:
-				ws[rng.Intn(len(ws))].WakeAt(at)
-			case 1:
-				ws[rng.Intn(len(ws))].Cancel()
-			default:
-				id := step
-				e.Schedule(at, func(now int64) { got = append(got, fire{now, id}) })
-			}
+			id := step
+			e.Schedule(at, func(now int64) { got = append(got, fire{now, id}) })
 			if step%7 == 0 {
 				e.RunUntil(e.Now() + int64(rng.Intn(300)))
 				next, ok := e.Peek()
@@ -303,23 +233,5 @@ func BenchmarkScheduleNear(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Schedule(e.Now()+1, fn)
 		e.RunUntil(e.Now() + 1)
-	}
-}
-
-func BenchmarkWakerChurn(b *testing.B) {
-	// The simulator's hot pattern: 15 actors re-arming short wakes.
-	e := New(0)
-	const actors = 15
-	ws := make([]*Waker, actors)
-	for i := range ws {
-		ws[i] = e.NewWaker(int32(i), func(int64) {})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now := e.Now()
-		for _, w := range ws {
-			w.WakeAt(now + 1 + int64(i%7))
-		}
-		e.RunUntil(now + 1)
 	}
 }

@@ -221,6 +221,30 @@ func TestStatsDumpCarriesPaperCounters(t *testing.T) {
 	}
 }
 
+// The registry's SM and L1 counters of an application run cover every
+// kernel of its measured window, as the Result does, warmed or not.
+func TestAppSMCountersCoverRetiredKernels(t *testing.T) {
+	app, _ := workloads.AppByName("srad-pipeline")
+	app = goldenApp(app)
+	cold := RunApp(config.C1(), app, Options{}).Final
+	for _, budget := range []uint64{0, cold.Kernels[0].Instructions / 2} {
+		reg := metrics.NewRegistry(true)
+		r := RunApp(config.C1(), app, Options{WarmupInstructions: budget, Metrics: reg}).Final
+		for name, want := range map[string]uint64{
+			"sm.instructions": r.Instructions,
+			"sm.loads":        r.SM.Loads,
+			"sm.stores":       r.SM.Stores,
+			"sm.store_stalls": r.SM.StoreStalls,
+			"l1.hits":         r.L1.Hits(),
+			"l1.misses":       r.L1.Misses(),
+		} {
+			if got, _ := reg.Value(name); got != want {
+				t.Errorf("warmup %d: %s = %d, want the Result's %d", budget, name, got, want)
+			}
+		}
+	}
+}
+
 // Observability must never perturb the simulation. Observers — the
 // invariant audit, the tracer's bank windows, an enabled registry —
 // catch banks up at the retention-counter cadence, while a bare run

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sync"
 
+	"sttllc/internal/cache"
 	"sttllc/internal/config"
 	"sttllc/internal/core"
 	"sttllc/internal/gpu"
@@ -67,8 +68,8 @@ func (s *Simulator) metricShape() (metricShape, bool) {
 // s.reg. A registry supplied by the caller binds the shape's cached
 // name table when there is one, and seeds the cache when there is not;
 // the private disabled registry registers nothing. The SM aggregates
-// are closures over s.sms, so they survive the per-kernel SM rebuilds
-// of application runs.
+// are closures over s.sms and s.retired, so they survive the per-kernel
+// SM rebuilds of application runs and count the kernels that retired.
 func (s *Simulator) registerMetrics() {
 	r := s.reg
 	shape, cacheable := s.metricShape()
@@ -114,12 +115,22 @@ func (s *Simulator) registerMetrics() {
 		sc.Func("adaptive.epochs", func() uint64 { return s.adapt.epochs })
 	}
 
-	// SM-side aggregates sum over the live SM set at snapshot time.
+	// SM-side aggregates sum over the loaded kernel's SMs at snapshot
+	// time, plus the kernels that retired since the warmup boundary.
 	sumSM := func(f func(st gpu.SMStats) uint64) func() uint64 {
 		return func() uint64 {
-			var t uint64
+			t := f(s.retired.SM)
 			for _, sm := range s.sms {
 				t += f(sm.Stats())
+			}
+			return t
+		}
+	}
+	sumL1 := func(f func(st cache.Stats) uint64) func() uint64 {
+		return func() uint64 {
+			t := f(s.retired.L1)
+			for _, sm := range s.sms {
+				t += f(sm.L1Stats())
 			}
 			return t
 		}
@@ -128,20 +139,8 @@ func (s *Simulator) registerMetrics() {
 	sc.Func("sm.loads", sumSM(func(st gpu.SMStats) uint64 { return st.Loads }))
 	sc.Func("sm.stores", sumSM(func(st gpu.SMStats) uint64 { return st.Stores }))
 	sc.Func("sm.store_stalls", sumSM(func(st gpu.SMStats) uint64 { return st.StoreStalls }))
-	sc.Func("l1.hits", func() uint64 {
-		var t uint64
-		for _, sm := range s.sms {
-			t += sm.L1Stats().Hits()
-		}
-		return t
-	})
-	sc.Func("l1.misses", func() uint64 {
-		var t uint64
-		for _, sm := range s.sms {
-			t += sm.L1Stats().Misses()
-		}
-		return t
-	})
+	sc.Func("l1.hits", sumL1(cache.Stats.Hits))
+	sc.Func("l1.misses", sumL1(cache.Stats.Misses))
 
 	if cacheable {
 		t := r.Table() // for a bound registry, checks it reached the table's end
