@@ -7,7 +7,6 @@ import (
 
 	"sttllc/internal/config"
 	"sttllc/internal/sim"
-	"sttllc/internal/workloads"
 )
 
 // ---------------------------------------------------------------------
@@ -67,19 +66,21 @@ func totalL2EnergyJ(r sim.Result) float64 {
 // controller's transition activity.
 func AdaptivePolicySweep(p Params) []AdaptiveRow {
 	fixed := adaptiveFixedConfigs()
-	rows := make([]AdaptiveRow, len(p.specs()))
-	forEachSpec(p, func(si int, spec workloads.Spec) {
+	rs := runGrid(p, append(fixed, config.C4()))
+	specs := p.specs()
+	rows := make([]AdaptiveRow, len(specs))
+	for si, spec := range specs {
+		runs := rs[si*(len(fixed)+1) : (si+1)*(len(fixed)+1)]
 		row := AdaptiveRow{Benchmark: spec.Name, FixedEnergyJ: map[string]float64{}}
 		var bestIPC float64
-		for _, cfg := range fixed {
-			r := run(cfg, spec, p)
-			e := totalL2EnergyJ(r)
+		for i, cfg := range fixed {
+			e := totalL2EnergyJ(runs[i])
 			row.FixedEnergyJ[cfg.Name] = e
 			if row.FixedBest == "" || e < row.FixedBestEnergyJ {
-				row.FixedBest, row.FixedBestEnergyJ, bestIPC = cfg.Name, e, r.IPC
+				row.FixedBest, row.FixedBestEnergyJ, bestIPC = cfg.Name, e, runs[i].IPC
 			}
 		}
-		ra := run(config.C4(), spec, p)
+		ra := runs[len(fixed)]
 		row.AdaptiveEnergyJ = totalL2EnergyJ(ra)
 		if row.FixedBestEnergyJ > 0 {
 			row.EnergyRatio = row.AdaptiveEnergyJ / row.FixedBestEnergyJ
@@ -92,7 +93,7 @@ func AdaptivePolicySweep(p Params) []AdaptiveRow {
 		row.RetentionMoves = ra.Bank.ReconfigRetention
 		row.Demotions = ra.Bank.ReconfigDemotions
 		rows[si] = row
-	})
+	}
 	return rows
 }
 

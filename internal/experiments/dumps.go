@@ -6,15 +6,14 @@ import (
 	"sttllc/internal/config"
 	"sttllc/internal/metrics"
 	"sttllc/internal/sim"
-	"sttllc/internal/workloads"
 )
 
 // StatsDumps runs every benchmark on every named configuration with a
 // full metrics registry attached and returns the machine-readable
 // dumps, ordered configuration-major then suite order — the "runs"
 // experiment behind `sttexp -exp runs` and `sttreport -stats-json`.
-// Each run owns a private registry, so the sweep parallelizes like
-// every other harness.
+// Each run owns a private registry and is its own task of forEachTask,
+// so the whole grid fans out at once.
 func StatsDumps(p Params, configs []string) []sim.StatsDump {
 	if len(configs) == 0 {
 		configs = []string{"baseline-SRAM", "baseline-STT", "C1", "C2", "C3"}
@@ -27,17 +26,14 @@ func StatsDumps(p Params, configs []string) []sim.StatsDump {
 		}
 		cfgs[i] = cfg
 	}
-	nBench := len(p.specs())
-	dumps := make([]sim.StatsDump, len(cfgs)*nBench)
-	for ci, cfg := range cfgs {
-		cfg := cfg
-		forEachSpec(p, func(i int, spec workloads.Spec) {
-			reg := metrics.NewRegistry(true)
-			opts := p.opts()
-			opts.Metrics = reg
-			res, _ := sim.New(cfg, spec, opts).RunContext(p.ctx())
-			dumps[ci*nBench+i] = sim.DumpStats(res, reg)
-		})
-	}
+	specs := p.specs()
+	dumps := make([]sim.StatsDump, len(cfgs)*len(specs))
+	forEachTask(p, specs, cfgs, func(si, ci int) {
+		reg := metrics.NewRegistry(true)
+		opts := p.opts()
+		opts.Metrics = reg
+		res, _ := sim.New(cfgs[ci], specs[si], opts).RunContext(p.ctx())
+		dumps[ci*len(specs)+si] = sim.DumpStats(res, reg)
+	})
 	return dumps
 }

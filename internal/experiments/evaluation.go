@@ -47,16 +47,27 @@ type Fig8Result struct {
 	MeanTotalPower map[string]float64
 }
 
-// Fig8 runs every benchmark on every configuration.
+// Fig8 runs every benchmark on the SRAM baseline and every Fig8Configs
+// configuration. The runs are independent, so they fan out one run per
+// task (runGrid) and the rows are assembled from the index-addressed
+// results afterwards: the output is the same at any Parallel.
 func Fig8(p Params) Fig8Result {
 	res := Fig8Result{
 		GmeanSpeedup:   map[string]float64{},
 		MeanDynPower:   map[string]float64{},
 		MeanTotalPower: map[string]float64{},
 	}
-	rows := make([]Fig8Row, len(p.specs()))
-	forEachSpec(p, func(rowIdx int, spec workloads.Spec) {
-		base := run(config.BaselineSRAM(), spec, p)
+	cfgs := []config.GPUConfig{config.BaselineSRAM()}
+	for _, name := range Fig8Configs {
+		cfg, _ := config.ByName(name)
+		cfgs = append(cfgs, cfg)
+	}
+	rs := runGrid(p, cfgs)
+	specs := p.specs()
+	rows := make([]Fig8Row, len(specs))
+	for si, spec := range specs {
+		runs := rs[si*len(cfgs) : (si+1)*len(cfgs)]
+		base := runs[0]
 		row := Fig8Row{
 			Benchmark:     spec.Name,
 			Region:        spec.Region,
@@ -72,9 +83,8 @@ func Fig8(p Params) Fig8Result {
 		if t := base.Bank.Reads + base.Bank.Writes; t > 0 {
 			row.L2WriteFracPct = 100 * float64(base.Bank.Writes) / float64(t)
 		}
-		for _, name := range Fig8Configs {
-			cfg, _ := config.ByName(name)
-			r := run(cfg, spec, p)
+		for ci, name := range Fig8Configs {
+			r := runs[ci+1]
 			if name == "C2" {
 				row.ResidentC2 = r.ResidentWarps
 			}
@@ -92,8 +102,8 @@ func Fig8(p Params) Fig8Result {
 			row.DynamicPower[name] = dp
 			row.TotalPower[name] = tp
 		}
-		rows[rowIdx] = row
-	})
+		rows[si] = row
+	}
 	res.Rows = rows
 	for _, name := range Fig8Configs {
 		var sp, dp, tp []float64
@@ -204,11 +214,17 @@ func Ablation(p Params, variants []string) []AblationRow {
 	if len(variants) == 0 {
 		variants = AblationVariants
 	}
-	rows := make([]AblationRow, len(p.specs())*len(variants))
-	forEachSpec(p, func(si int, spec workloads.Spec) {
-		base := run(config.C1(), spec, p)
+	cfgs := []config.GPUConfig{config.C1()}
+	for _, v := range variants {
+		cfgs = append(cfgs, ablationConfig(v))
+	}
+	rs := runGrid(p, cfgs)
+	specs := p.specs()
+	rows := make([]AblationRow, len(specs)*len(variants))
+	for si, spec := range specs {
+		base := rs[si*len(cfgs)]
 		for i, v := range variants {
-			r := run(ablationConfig(v), spec, p)
+			r := rs[si*len(cfgs)+i+1]
 			row := AblationRow{Benchmark: spec.Name, Variant: v}
 			if base.IPC > 0 {
 				row.Speedup = r.IPC / base.IPC
@@ -218,7 +234,7 @@ func Ablation(p Params, variants []string) []AblationRow {
 			}
 			rows[si*len(variants)+i] = row
 		}
-	})
+	}
 	return rows
 }
 

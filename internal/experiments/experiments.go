@@ -10,9 +10,9 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"sttllc/internal/config"
 	"sttllc/internal/core"
@@ -32,9 +32,10 @@ type Params struct {
 	Benchmarks []string
 	// MaxCycles bounds each run (0 = none).
 	MaxCycles int64
-	// Parallel bounds concurrent benchmark evaluations (0 = number of
-	// CPUs). Each benchmark's runs stay sequential internally, so
-	// results are deterministic regardless of the setting.
+	// Parallel bounds the sweep's concurrent tasks — single runs for a
+	// pure configuration grid, whole benchmarks otherwise (0 = number
+	// of CPUs). Every task deposits into its own index-addressed slot,
+	// so results are deterministic regardless of the setting.
 	Parallel int
 	// InvariantCheck, when non-nil, audits bank state during every run
 	// of the sweep (see sim.Options.InvariantCheck). The checker must
@@ -44,7 +45,7 @@ type Params struct {
 	InvariantCheck func(bank int, b core.Bank, now int64) error
 	// Context, when non-nil, bounds every run of the sweep: once it is
 	// cancelled, in-flight simulations stop at their next periodic
-	// cancellation check and queued specs are skipped entirely. Rows
+	// cancellation check and queued tasks are skipped entirely. Rows
 	// for interrupted or skipped runs are partial or zero — callers
 	// that honor Context should tell their users the sweep was cut
 	// short (sttexp does).
@@ -157,131 +158,159 @@ func sweepBankVariants(spec workloads.Spec, cfgs []config.GPUConfig, base int, p
 	return out
 }
 
-// runPanic is a panic captured from one benchmark evaluation: which
-// spec blew up, the original panic value, and the goroutine stack at
-// the panic site. It is what forEachSpec re-panics with, so callers
-// recovering a sweep failure can tell exactly which run died.
+// runPanic is a panic captured from one task of a sweep: which
+// benchmark — and, for a run-granular sweep, which configuration — blew
+// up, the original panic value, and the goroutine stack at the panic
+// site. It is what forEachTask re-panics with, so callers recovering a
+// sweep failure can tell exactly which run died.
 type runPanic struct {
-	Index int
-	Spec  string
-	Value any
-	Stack []byte
+	Index int    // task index: the benchmark's, or the run's in the grid
+	Spec  string // benchmark
+	// Config is the run's configuration name, empty for a per-benchmark
+	// task. A variant grid's configurations keep their base's name (the
+	// ablation's are all "C1"), so Index tells those apart.
+	Config string
+	Value  any
+	Stack  []byte
 }
 
 func (rp *runPanic) Error() string {
+	if rp.Config != "" {
+		return fmt.Sprintf("experiments: benchmark %q on %s (run %d) panicked: %v\n%s",
+			rp.Spec, rp.Config, rp.Index, rp.Value, rp.Stack)
+	}
 	return fmt.Sprintf("experiments: benchmark %q (index %d) panicked: %v\n%s",
 		rp.Spec, rp.Index, rp.Value, rp.Stack)
 }
 
-// group is a hand-rolled errgroup: a bounded worker pool that runs
-// submitted tasks, collects any panics instead of letting one torn-down
-// goroutine crash the process before sibling runs finish, and — once a
-// task has panicked or the sweep's context is cancelled — skips every
-// task that has not started yet. In-flight siblings still run to
-// completion, so their deposited results are intact; only queued work
-// is shed. (The real errgroup module is an external dependency; this is
-// the subset the sweeps need.)
-type group struct {
-	sem      chan struct{}
-	wg       sync.WaitGroup
-	stop     chan struct{}
-	stopOnce sync.Once
-	mu       sync.Mutex
-	panics   []*runPanic
+// sweep is the state of one forEachTask call, kept in one allocation: the
+// benchmarks and configurations it covers, the task, and the workers'
+// shared bookkeeping.
+type sweep struct {
+	specs   []workloads.Spec
+	cfgs    []config.GPUConfig // nil: one task per benchmark
+	task    func(si, ci int)
+	n       int // tasks
+	next    atomic.Int64
+	stopped atomic.Bool
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	first   *runPanic // lowest-index capture
 }
 
-func newGroup(workers int) *group {
-	if workers < 1 {
-		workers = 1
+// forEachTask is the sweeps' one fan-out. With cfgs nil it has one task per
+// benchmark, task(si, 0); otherwise one per (benchmark, configuration)
+// run, task(si, ci), numbered benchmark-major: run si,ci is task
+// si*len(cfgs)+ci. A pool of p.Parallel workers (0 = GOMAXPROCS, clamped
+// to the task count) takes the tasks in ascending order. Callers deposit
+// results into index-addressed slots, so the output never depends on the
+// worker count or on completion order. With one worker the tasks run one
+// at a time in order on the same code path.
+//
+// A panicking task does not tear the process down: it is captured with
+// its stack, its benchmark and, for a run, its configuration; tasks not
+// yet started are shed, in-flight siblings run to completion (their
+// deposits stay intact), and once every worker has stopped the
+// lowest-index capture is re-raised as a *runPanic — the panic a serial
+// sweep would have hit first. Cancelling p.Context sheds queued tasks the
+// same way, without a panic; their slots keep their zero values.
+func forEachTask(p Params, specs []workloads.Spec, cfgs []config.GPUConfig, task func(si, ci int)) {
+	s := &sweep{specs: specs, cfgs: cfgs, task: task, n: len(specs)}
+	if cfgs != nil {
+		s.n *= len(cfgs)
 	}
-	return &group{sem: make(chan struct{}, workers), stop: make(chan struct{})}
-}
-
-// abort sheds the not-yet-started remainder of the sweep. Idempotent
-// and safe to call from any goroutine.
-func (g *group) abort() {
-	g.stopOnce.Do(func() { close(g.stop) })
-}
-
-// Go runs task on a worker slot, blocking the submitter while every
-// slot is busy. With one slot, tasks therefore run one at a time in
-// submission order — the serial path is the same code path. A task
-// whose slot frees up after the group aborted is dropped unrun.
-func (g *group) Go(index int, spec string, task func()) {
-	g.sem <- struct{}{}
-	g.wg.Add(1)
-	go func() {
-		defer func() {
-			if v := recover(); v != nil {
-				g.mu.Lock()
-				g.panics = append(g.panics, &runPanic{
-					Index: index, Spec: spec, Value: v, Stack: debug.Stack(),
-				})
-				g.mu.Unlock()
-				// A dead run poisons the sweep's results; don't burn
-				// cycles finishing the rest of the queue.
-				g.abort()
-			}
-			<-g.sem
-			g.wg.Done()
-		}()
-		select {
-		case <-g.stop:
-			// Aborted while queued: skip.
-		default:
-			task()
-		}
-	}()
-}
-
-// Wait blocks until every submitted task has finished, then — if any
-// panicked — re-panics with the lowest-index capture, matching the
-// panic a serial sweep would have surfaced first. Sibling runs always
-// complete before the re-raise, so their deposited results are intact.
-func (g *group) Wait() {
-	g.wg.Wait()
-	if len(g.panics) == 0 {
-		return
-	}
-	sort.Slice(g.panics, func(i, j int) bool { return g.panics[i].Index < g.panics[j].Index })
-	panic(g.panics[0])
-}
-
-// forEachSpec evaluates fn once per benchmark, fanning benchmarks out
-// across a bounded worker pool. fn receives the spec's index so callers
-// can deposit results deterministically into index-addressed slots —
-// result ordering never depends on completion order, which is why
-// Parallel=1 and Parallel=N render byte-identical report tables. The
-// per-benchmark work inside fn must not share mutable state across
-// indices. A panicking fn aborts the sweep: in-flight sibling runs
-// complete (their deposited results stay intact), specs that have not
-// started yet are skipped, then the lowest-index panic is re-raised as
-// a *runPanic. Cancelling p.Context sheds queued specs the same way,
-// without a panic.
-func forEachSpec(p Params, fn func(i int, spec workloads.Spec)) {
-	specs := p.specs()
 	workers := p.Parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(specs) {
-		workers = len(specs)
+	if workers > s.n {
+		workers = s.n
 	}
-	g := newGroup(workers)
 	if ctx := p.Context; ctx != nil {
 		if ctx.Err() != nil {
 			// Already cancelled: shed everything synchronously —
-			// AfterFunc alone would race the first submissions.
-			g.abort()
+			// AfterFunc alone would race the first tasks.
+			s.abort()
 		}
-		stop := context.AfterFunc(ctx, g.abort)
+		stop := context.AfterFunc(ctx, s.abort)
 		defer stop()
 	}
-	for i, spec := range specs {
-		i, spec := i, spec
-		g.Go(i, spec.Name, func() { fn(i, spec) })
+	s.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go s.work()
 	}
-	g.Wait()
+	s.wg.Wait()
+	if s.first != nil {
+		panic(s.first)
+	}
+}
+
+// abort sheds the tasks not yet started. Safe from any goroutine.
+func (s *sweep) abort() { s.stopped.Store(true) }
+
+func (s *sweep) work() {
+	defer s.wg.Done()
+	for !s.stopped.Load() {
+		i := int(s.next.Add(1) - 1)
+		if i >= s.n {
+			return
+		}
+		s.run(i)
+	}
+}
+
+// run runs task i, capturing a panic instead of letting it unwind.
+func (s *sweep) run(i int) {
+	si, ci := i, 0
+	if s.cfgs != nil {
+		si, ci = i/len(s.cfgs), i%len(s.cfgs)
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			rp := &runPanic{Index: i, Spec: s.specs[si].Name, Value: v, Stack: debug.Stack()}
+			if s.cfgs != nil {
+				rp.Config = s.cfgs[ci].Name
+			}
+			s.mu.Lock()
+			if s.first == nil || i < s.first.Index {
+				s.first = rp
+			}
+			s.mu.Unlock()
+			// A dead run poisons the sweep's results; don't burn
+			// cycles finishing the rest of the queue.
+			s.abort()
+		}
+	}()
+	s.task(si, ci)
+}
+
+// forEachSpec evaluates fn once per benchmark, one benchmark per task of
+// forEachTask. It serves the sweeps whose per-benchmark body is more
+// than independent runs — it reads a simulator's internals, or records
+// one run and replays it into the others; pure configuration grids use
+// runGrid, whose tasks are single runs. fn receives the spec's index so
+// callers can deposit results deterministically into index-addressed
+// slots, and must not share mutable state across indices. Panics and a
+// cancelled p.Context behave as forEachTask documents.
+func forEachSpec(p Params, fn func(i int, spec workloads.Spec)) {
+	specs := p.specs()
+	forEachTask(p, specs, nil, func(si, _ int) { fn(si, specs[si]) })
+}
+
+// runGrid runs every benchmark on every configuration of a pure grid — a
+// sweep whose per-benchmark body is only independent runs plus
+// arithmetic on their results — one run per task of forEachTask, so a
+// slow benchmark's runs spread over the workers instead of queueing
+// behind each other on one. The results are benchmark-major: the run of
+// benchmark si on cfgs[ci] is at si*len(cfgs)+ci. Runs a cancelled sweep
+// skipped are zero Results.
+func runGrid(p Params, cfgs []config.GPUConfig) []sim.Result {
+	specs := p.specs()
+	rs := make([]sim.Result, len(specs)*len(cfgs))
+	forEachTask(p, specs, cfgs, func(si, ci int) {
+		rs[si*len(cfgs)+ci] = run(cfgs[ci], specs[si], p)
+	})
+	return rs
 }
 
 // header renders a fixed-width table header line plus separator.

@@ -46,26 +46,27 @@ func RetentionSweep(p Params, points []time.Duration) []RetentionRow {
 	if len(points) == 0 {
 		points = RetentionPoints
 	}
-	rows := make([]RetentionRow, len(p.specs())*len(points))
-	forEachSpec(p, func(si int, spec workloads.Spec) {
-		type meas struct {
-			r sim.Result
-		}
-		ms := make([]meas, len(points))
+	cfgs := make([]config.GPUConfig, len(points))
+	for i, ret := range points {
+		cfgs[i] = config.C1()
+		cfgs[i].L2.LRRetention = ret
+	}
+	rs := runGrid(p, cfgs)
+	specs := p.specs()
+	rows := make([]RetentionRow, len(specs)*len(points))
+	for si, spec := range specs {
+		runs := rs[si*len(points) : (si+1)*len(points)]
 		var ref sim.Result
 		for i, ret := range points {
-			cfg := config.C1()
-			cfg.L2.LRRetention = ret
-			ms[i].r = run(cfg, spec, p)
 			if ret == time.Millisecond {
-				ref = ms[i].r
+				ref = runs[i]
 			}
 		}
 		if ref.Cycles == 0 {
-			ref = ms[len(ms)/2].r
+			ref = runs[len(runs)/2]
 		}
 		for i, ret := range points {
-			r := ms[i].r
+			r := runs[i]
 			row := RetentionRow{
 				Benchmark: spec.Name,
 				Retention: ret,
@@ -80,7 +81,7 @@ func RetentionSweep(p Params, points []time.Duration) []RetentionRow {
 			}
 			rows[si*len(points)+i] = row
 		}
-	})
+	}
 	return rows
 }
 
@@ -139,23 +140,27 @@ func hrWaysFor(bytesPerBank, lineBytes int) int {
 // capacity, normalized to the paper's 1/8 split.
 func LRSizeSweep(p Params) []LRSizeRow {
 	total := config.C1().L2.Capacity()
-	rows := make([]LRSizeRow, len(p.specs())*len(lrSizePoints))
-	forEachSpec(p, func(si int, spec workloads.Spec) {
-		results := make([]sim.Result, len(lrSizePoints))
-		var ref sim.Result
-		for i, pt := range lrSizePoints {
-			cfg := config.C1()
-			lr := total / pt.divisor
-			cfg.L2.LRBytes = lr
-			cfg.L2.HRBytes = total - lr
-			cfg.L2.HRWays = hrWaysFor(cfg.L2.HRBytes/cfg.NumBanks, cfg.LineBytes)
-			results[i] = run(cfg, spec, p)
-			if pt.divisor == 8 {
-				ref = results[i]
-			}
+	cfgs := make([]config.GPUConfig, len(lrSizePoints))
+	ref := 0
+	for i, pt := range lrSizePoints {
+		cfg := config.C1()
+		lr := total / pt.divisor
+		cfg.L2.LRBytes = lr
+		cfg.L2.HRBytes = total - lr
+		cfg.L2.HRWays = hrWaysFor(cfg.L2.HRBytes/cfg.NumBanks, cfg.LineBytes)
+		cfgs[i] = cfg
+		if pt.divisor == 8 {
+			ref = i
 		}
+	}
+	rs := runGrid(p, cfgs)
+	specs := p.specs()
+	rows := make([]LRSizeRow, len(specs)*len(lrSizePoints))
+	for si, spec := range specs {
+		runs := rs[si*len(cfgs) : (si+1)*len(cfgs)]
+		ref := runs[ref]
 		for i, pt := range lrSizePoints {
-			r := results[i]
+			r := runs[i]
 			row := LRSizeRow{
 				Benchmark:  spec.Name,
 				LRFraction: pt.label,
@@ -169,7 +174,7 @@ func LRSizeSweep(p Params) []LRSizeRow {
 			}
 			rows[si*len(lrSizePoints)+i] = row
 		}
-	})
+	}
 	return rows
 }
 
