@@ -331,111 +331,32 @@ func (s Spec) Validate() error {
 
 // Model returns the deterministic kernel model for the spec.
 func (s Spec) Model() gpu.KernelModel {
-	return model{spec: s, arena: &streamArena{}}
+	return &model{k: kernel{spec: s}}
 }
 
+// model is a kernel model: the per-kernel constants every warp stream
+// of the kernel shares, and the arena its streams come from, in the one
+// allocation Model makes. A model is driven by one simulator goroutine,
+// so it needs no locking.
 type model struct {
-	spec  Spec
-	arena *streamArena
-}
-
-// streamArena hands out warp streams from chunked slabs. Long runs spawn
-// streams by the tens of thousands (one per warp launch), and carving
-// them 64 at a time keeps the object count — and with it GC scan time —
-// out of the simulation hot path. A model is driven by one simulator
-// goroutine, so the arena needs no locking.
-type streamArena struct {
+	k     kernel
+	built bool // k's derived fields are set (by the first NewWarp)
+	// chunk is the unused tail of the current stream slab. Long runs
+	// spawn streams by the tens of thousands (one per warp launch), and
+	// carving them 64 at a time keeps the object count — and with it GC
+	// scan time — out of the simulation hot path.
 	chunk []stream
 }
 
-func (a *streamArena) alloc() *stream {
-	if len(a.chunk) == 0 {
-		a.chunk = make([]stream, 64)
-	}
-	st := &a.chunk[0]
-	a.chunk = a.chunk[1:]
-	return st
-}
-
-// NewWarp implements gpu.KernelModel.
-func (m model) NewWarp(warpIndex int) gpu.WarpStream {
-	s := m.spec
-	st := m.arena.alloc()
-	*st = stream{
-		spec: s,
-		rng:  newXorshift(s.Seed*0x9E3779B97F4A7C15 + uint64(warpIndex)*0xBF58476D1CE4E5B9 + 1),
-		warp: uint64(warpIndex),
-	}
-	// Each warp streams through its own slice of the footprint (and of
-	// the texture segment).
-	footLines := s.FootprintBytes / lineBytes
-	st.streamPos = (st.warp * 977) % footLines
-	st.texPos = (st.warp * 1031) % (texBytes / lineBytes)
-	st.footDiv = newMdiv(footLines)
-	wwsLines := s.WWSBytes / lineBytes
-	st.wwsDiv = newMdiv(wwsLines)
-	hot := wwsLines / 16
-	if hot == 0 {
-		hot = 1
-	}
-	st.hotDiv = newMdiv(hot)
-	st.memT = thresh(s.MemFrac)
-	st.localT = thresh(s.LocalFrac)
-	st.lcT = thresh(s.LocalFrac + s.ConstFrac)
-	st.lctT = thresh(s.LocalFrac + s.ConstFrac + s.TexFrac)
-	st.writeT = thresh(s.WriteFrac)
-	wb := s.WriteFrac + s.EndWriteBurst
-	if wb > 1 {
-		wb = 1
-	}
-	st.writeBurstT = thresh(wb)
-	st.hotT = thresh(s.WriteHotFrac)
-	st.streamT = thresh(s.StreamFrac)
-	st.srT = thresh(s.StreamFrac + s.RereadFrac)
-	if s.Grids > 0 && s.InstrPerWarp > 0 {
-		pg := s.InstrPerWarp / s.Grids
-		if pg == 0 {
-			pg = s.InstrPerWarp
-		}
-		st.perGrid = pg
-		// burstCut is the first in-grid position the reference
-		// expression float64(pos)/float64(pg) > 0.9 classifies as the
-		// end-of-grid write burst, found by evaluating that exact
-		// expression so rounding behavior carries over unchanged.
-		cut := int(0.9 * float64(pg))
-		if cut > pg {
-			cut = pg
-		}
-		for cut > 0 && float64(cut-1)/float64(pg) > 0.9 {
-			cut--
-		}
-		for cut < pg && float64(cut)/float64(pg) <= 0.9 {
-			cut++
-		}
-		st.burstCut = cut
-	}
-	return st
-}
-
-// stream generates one warp's instructions.
-type stream struct {
-	spec      Spec
-	rng       xorshift
-	warp      uint64
-	count     int
-	streamPos uint64 // line index within footprint
-	texPos    uint64 // line index within the texture segment
-	recent    [4]uint64
-	recentN   int
-	// Grid-position tracking, carried incrementally so the hot path
-	// avoids the per-access divisions: grid/gridPos are the current
-	// instruction's grid index and offset within it, and burstCut is the
-	// precomputed offset where the end-of-grid write burst begins.
-	// perGrid == 0 means the spec is degenerate (Grids <= 0) and the
-	// divide-on-access fallback is used instead.
+// kernel holds what a kernel's warp streams share: the spec and the
+// constants derived from it once per kernel rather than once per warp.
+type kernel struct {
+	spec Spec
+	// Grid-position constants: perGrid is the instructions per grid,
+	// burstCut the in-grid offset where the end-of-grid write burst
+	// begins. perGrid == 0 means the spec is degenerate (Grids <= 0) and
+	// the divide-on-access fallback is used instead.
 	perGrid  int
-	grid     int
-	gridPos  int
 	burstCut int
 	// Magic divisors for the run-time line counts the address pickers
 	// take remainders against (the texture/constant segment sizes are
@@ -459,6 +380,102 @@ type stream struct {
 	srT         uint64 // StreamFrac+RereadFrac
 }
 
+// build derives k's constants from its spec. A degenerate write working
+// set panics here, at the first warp launch, as it always has.
+func (k *kernel) build() {
+	s := &k.spec
+	k.footDiv = newMdiv(s.FootprintBytes / lineBytes)
+	wwsLines := s.WWSBytes / lineBytes
+	k.wwsDiv = newMdiv(wwsLines)
+	hot := wwsLines / 16
+	if hot == 0 {
+		hot = 1
+	}
+	k.hotDiv = newMdiv(hot)
+	k.memT = thresh(s.MemFrac)
+	k.localT = thresh(s.LocalFrac)
+	k.lcT = thresh(s.LocalFrac + s.ConstFrac)
+	k.lctT = thresh(s.LocalFrac + s.ConstFrac + s.TexFrac)
+	k.writeT = thresh(s.WriteFrac)
+	wb := s.WriteFrac + s.EndWriteBurst
+	if wb > 1 {
+		wb = 1
+	}
+	k.writeBurstT = thresh(wb)
+	k.hotT = thresh(s.WriteHotFrac)
+	k.streamT = thresh(s.StreamFrac)
+	k.srT = thresh(s.StreamFrac + s.RereadFrac)
+	if s.Grids > 0 && s.InstrPerWarp > 0 {
+		pg := s.InstrPerWarp / s.Grids
+		if pg == 0 {
+			pg = s.InstrPerWarp
+		}
+		k.perGrid = pg
+		// burstCut is the first in-grid position the reference
+		// expression float64(pos)/float64(pg) > 0.9 classifies as the
+		// end-of-grid write burst, found by evaluating that exact
+		// expression so rounding behavior carries over unchanged.
+		cut := int(0.9 * float64(pg))
+		if cut > pg {
+			cut = pg
+		}
+		for cut > 0 && float64(cut-1)/float64(pg) > 0.9 {
+			cut--
+		}
+		for cut < pg && float64(cut)/float64(pg) <= 0.9 {
+			cut++
+		}
+		k.burstCut = cut
+	}
+}
+
+// NewWarp implements gpu.KernelModel.
+func (m *model) NewWarp(warpIndex int) gpu.WarpStream {
+	k := &m.k
+	warp := uint64(warpIndex)
+	// Each warp streams through its own slice of the footprint (and of
+	// the texture segment). A footprint under one line divides by zero
+	// here, before anything else, as it always has.
+	streamPos := (warp * 977) % (k.spec.FootprintBytes / lineBytes)
+	if !m.built {
+		k.build()
+		m.built = true
+	}
+	if len(m.chunk) == 0 {
+		m.chunk = make([]stream, 64)
+	}
+	st := &m.chunk[0]
+	m.chunk = m.chunk[1:]
+	*st = stream{
+		k:         k,
+		rng:       newXorshift(k.spec.Seed*0x9E3779B97F4A7C15 + warp*0xBF58476D1CE4E5B9 + 1),
+		warp:      warp,
+		streamPos: streamPos,
+		texPos:    (warp * 1031) % (texBytes / lineBytes),
+	}
+	return st
+}
+
+// stream generates one warp's instructions. It holds only the warp's own
+// state; everything derived from the spec lives in the kernel block all
+// of the kernel's warps point at, so an ALU Next touches one cache line
+// of per-warp state (the fields up to gridPos) plus the shared block.
+type stream struct {
+	k     *kernel
+	rng   xorshift
+	count int
+	// grid/gridPos are the current instruction's grid index and offset
+	// within it, carried incrementally so the hot path avoids the
+	// per-access divisions.
+	grid      int
+	gridPos   int
+	warp      uint64
+	streamPos uint64 // line index within footprint
+	texPos    uint64 // line index within the texture segment
+	recent    [4]uint64
+	recentN   int
+}
+
 // thresh maps a probability c to the integer threshold t such that for
 // every 53-bit draw rf, float64(rf)*2^-53 < c  ⟺  rf < t. Both c*2^53
 // (a power-of-two scaling) and the draw's float conversion are exact, so
@@ -476,39 +493,40 @@ func thresh(c float64) uint64 {
 
 // Next implements gpu.WarpStream.
 func (st *stream) Next() (gpu.Instr, bool) {
-	s := &st.spec
-	if st.count >= s.InstrPerWarp {
+	k := st.k
+	if st.count >= k.spec.InstrPerWarp {
 		return gpu.Instr{}, false
 	}
 	i := st.count
 	st.count++
 	grid, pos := st.grid, st.gridPos
-	if st.perGrid > 0 {
+	if k.perGrid > 0 {
 		st.gridPos++
-		if st.gridPos == st.perGrid {
+		if st.gridPos == k.perGrid {
 			st.gridPos = 0
 			st.grid++
 		}
 	}
 
-	if st.rng.bits53() >= st.memT {
+	if st.rng.bits53() >= k.memT {
 		return gpu.Instr{Kind: gpu.InstrALU}, true
 	}
 
 	// Memory instruction: pick the address space.
 	r := st.rng.bits53()
 	switch {
-	case r < st.localT:
+	case r < k.localT:
 		return st.localAccess()
-	case r < st.lcT:
+	case r < k.lcT:
 		return st.constAccess()
-	case r < st.lctT:
+	case r < k.lctT:
 		return st.texAccess()
 	}
 	// Global access: the incrementally tracked grid position replaces
 	// the divisions the reference performed here.
-	burst := pos >= st.burstCut
-	if st.perGrid == 0 {
+	s := &k.spec
+	burst := pos >= k.burstCut
+	if k.perGrid == 0 {
 		// Degenerate spec (Grids <= 0): keep the reference arithmetic.
 		perGrid := s.InstrPerWarp / s.Grids
 		if perGrid == 0 {
@@ -521,11 +539,11 @@ func (st *stream) Next() (gpu.Instr, bool) {
 	if grid >= s.Grids {
 		grid = s.Grids - 1
 	}
-	writeT := st.writeT
+	writeT := k.writeT
 	if burst {
 		// Grids write their results near the end of their execution
 		// (the observation that justifies the threshold of 1).
-		writeT = st.writeBurstT
+		writeT = k.writeBurstT
 	}
 	if st.rng.bits53() < writeT {
 		return gpu.Instr{Kind: gpu.InstrStore, Addr: st.writeAddr(grid)}, true
@@ -568,13 +586,13 @@ func (st *stream) texAccess() (gpu.Instr, bool) {
 // with WriteHotFrac of stores concentrated on a hot 1/16th (this skew is
 // what produces the inter-/intra-set write variation of Fig. 3).
 func (st *stream) writeAddr(grid int) uint64 {
-	s := &st.spec
-	base := s.FootprintBytes + uint64(grid)*s.WWSBytes
+	k := st.k
+	base := k.spec.FootprintBytes + uint64(grid)*k.spec.WWSBytes
 	var line uint64
-	if st.rng.bits53() < st.hotT {
-		line = st.hotDiv.mod(st.rng.next())
+	if st.rng.bits53() < k.hotT {
+		line = k.hotDiv.mod(st.rng.next())
 	} else {
-		line = st.wwsDiv.mod(st.rng.next())
+		line = k.wwsDiv.mod(st.rng.next())
 	}
 	return base + line*lineBytes
 }
@@ -582,24 +600,25 @@ func (st *stream) writeAddr(grid int) uint64 {
 // readAddr picks a load target: sequential streaming, recent-line reuse,
 // or uniform over the footprint.
 func (st *stream) readAddr() uint64 {
+	k := st.k
 	r := st.rng.bits53()
 	var addr uint64
 	switch {
-	case r < st.streamT:
+	case r < k.streamT:
 		// streamPos stays below footLines, so the advance wraps at most
 		// once: a compare replaces the remainder.
-		if st.streamPos++; st.streamPos == st.footDiv.n {
+		if st.streamPos++; st.streamPos == k.footDiv.n {
 			st.streamPos = 0
 		}
 		addr = st.streamPos * lineBytes
-	case r < st.srT && st.recentN > 0:
+	case r < k.srT && st.recentN > 0:
 		if st.recentN == len(st.recent) {
 			addr = st.recent[st.rng.next()&uint64(len(st.recent)-1)]
 		} else {
 			addr = st.recent[st.rng.next()%uint64(st.recentN)]
 		}
 	default:
-		addr = st.footDiv.mod(st.rng.next()) * lineBytes
+		addr = k.footDiv.mod(st.rng.next()) * lineBytes
 	}
 	st.recent[st.count%len(st.recent)] = addr
 	if st.recentN < len(st.recent) {
