@@ -681,16 +681,19 @@ func (s *Simulator) drive(start int64, last bool) (end int64) {
 			}
 		}
 		if now >= nextEvent {
-			// Due wakes OR their actor's bit into woken.
+			// Due wakes OR their actor's bit into woken and park at
+			// MaxInt64; the rest bound nextEvent. Branch-free: whether a
+			// slot is due is data, not control flow, so the scan never
+			// mispredicts. due is 1 exactly when at <= now (now - at
+			// cannot overflow: both are non-negative).
 			nextEvent = math.MaxInt64
 			for i, at := range wakeAt {
-				if at <= now {
-					woken[i>>6] |= 1 << uint(i&63)
-					wakeAt[i] = math.MaxInt64
-					fired++
-				} else if at < nextEvent {
-					nextEvent = at
-				}
+				due := uint64(now-at)>>63 ^ 1
+				woken[i>>6] |= due << uint(i&63)
+				fired += due
+				at |= int64(-due >> 1) // MaxInt64 when due, else 0
+				wakeAt[i] = at
+				nextEvent = min(nextEvent, at)
 			}
 		}
 		anyNext := false
