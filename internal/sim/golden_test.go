@@ -410,3 +410,31 @@ func TestWarmupDoesNotPerturbTrajectory(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenRetentionScans runs bare (unobserved, unwarmed) C1 and C2
+// runs long enough to cross at least one retention-counter boundary, so
+// the lazy mid-run scans — which a bank catches up on at its next access
+// — are checked against the seed reference; the scaled-down goldens
+// above all end before the first TickPeriod. The warmed variant is left
+// out on purpose: the seed reference resets at the warmup boundary
+// without the Tick(now-1) that warmupResetBank settles pending scans
+// with, so the two disagree there by design (TestWarmupSettlesPendingScans
+// covers that boundary instead).
+func TestGoldenRetentionScans(t *testing.T) {
+	saved := defaultInvariantCheck
+	defaultInvariantCheck = nil // an observer tick would do the scans itself
+	defer func() { defaultInvariantCheck = saved }()
+	for _, cfg := range []config.GPUConfig{config.C1(), config.C2()} {
+		for _, name := range []string{"lud", "histo"} {
+			spec, _ := workloads.ByName(name)
+			spec = spec.Scale(0.75)
+			s := New(cfg, spec, Options{})
+			p := s.flat[0].TickPeriod()
+			got := s.Run()
+			if p <= 0 || got.Cycles <= p {
+				t.Fatalf("%s/%s: %d cycles do not cross the retention tick period %d", name, cfg.Name, got.Cycles, p)
+			}
+			assertGolden(t, name+"/"+cfg.Name+"/scans", got, seedRun(New(cfg, spec, Options{})))
+		}
+	}
+}
