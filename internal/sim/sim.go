@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"sttllc/internal/cache"
 	"sttllc/internal/config"
@@ -641,9 +640,11 @@ func (s *Simulator) drive(start int64, last bool) (end int64) {
 	now := start
 	warmupBudget := s.warmLeft
 	warming := warmupBudget > 0
-	// nextEvent is a lower bound on the earliest parked wake (exact after
-	// every firing pass, lowered on every wake): visited cycles below it
-	// skip the firing pass entirely.
+	// nextEvent is the earliest parked wake: visited cycles below it skip
+	// the firing pass entirely. It stays exact. The firing pass
+	// recomputes it, and every park only lowers it: an SM parks only
+	// after its own wake fired (its slot holds MaxInt64) or when it was
+	// stepped from dueNext (it had no parked wake).
 	nextEvent := int64(math.MaxInt64)
 	var seq int64 // index of the visited cycle being run
 	var issuedTotal uint64
@@ -769,11 +770,10 @@ func (s *Simulator) drive(start int64, last bool) (end int64) {
 			now++
 			continue
 		}
-		next := slices.Min(wakeAt)
+		next := nextEvent
 		if next == math.MaxInt64 {
 			break
 		}
-		nextEvent = next
 		if visitedThrough > now {
 			// Cycles skipped under the run-ahead mark were visited by
 			// the reference (the running-ahead SM issued at each one);
