@@ -20,7 +20,6 @@
 package reliability
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -78,16 +77,6 @@ func ThermalTau(labeled time.Duration, blockBits int, target float64) time.Durat
 		return time.Duration(math.MaxInt64)
 	}
 	return time.Duration(tau)
-}
-
-// SafetyMargin returns labeled retention as a fraction of the thermal
-// constant — how deep into the decay curve the guarantee sits.
-func SafetyMargin(labeled time.Duration, blockBits int, target float64) float64 {
-	tau := ThermalTau(labeled, blockBits, target)
-	if tau <= 0 {
-		return 0
-	}
-	return float64(labeled) / float64(tau)
 }
 
 // Analysis is the retention-failure report for one measured
@@ -148,56 +137,6 @@ func Analyze(h *stats.Histogram, labeled time.Duration, blockBits int) Analysis 
 	return a
 }
 
-// String summarizes the analysis.
-func (a Analysis) String() string {
-	return fmt.Sprintf(
-		"labeled %v (τ_th %v): loss/rewrite %.2e, worst-bucket %.2e, at-retention %.2e, needs-refresh %.3f%%",
-		a.Labeled, a.TauTh.Round(time.Millisecond), a.LossPerRewrite,
-		a.WorstBucketLoss, a.GuaranteedLoss, a.RefreshNeededShare*100)
-}
-
-// ---------------------------------------------------------------------
-// ECC.
-// ---------------------------------------------------------------------
-
-// ECCWordBits is the protected word size of the SECDED(72,64) code
-// commonly attached to cache lines.
-const ECCWordBits = 64
-
-// ECCOverheadBits returns the check-bit overhead of SECDED over a block
-// of dataBits (8 check bits per 64-bit word).
-func ECCOverheadBits(dataBits int) int {
-	words := (dataBits + ECCWordBits - 1) / ECCWordBits
-	return words * 8
-}
-
-// ECCBlockFailureProb returns the probability that a block of dataBits
-// is uncorrectable after age t under per-word SECDED: any word with two
-// or more flipped bits is lost. Single-bit flips per word are corrected,
-// which is why relaxed-retention caches pair well with ECC.
-func ECCBlockFailureProb(t, tauTh time.Duration, dataBits int) float64 {
-	p := BitFailureProb(t, tauTh)
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return 1
-	}
-	// P(word OK) = P(0 flips) + P(exactly 1 flip)
-	// = (1-p)^w + w*p*(1-p)^(w-1)
-	w := float64(ECCWordBits)
-	logq := math.Log1p(-p)
-	pw0 := math.Exp(w * logq)
-	pw1 := w * p * math.Exp((w-1)*logq)
-	wordOK := pw0 + pw1
-	if wordOK >= 1 {
-		return 0
-	}
-	words := float64((dataBits + ECCWordBits - 1) / ECCWordBits)
-	// P(block OK) = wordOK^words.
-	return -math.Expm1(words * math.Log(wordOK))
-}
-
 // ---------------------------------------------------------------------
 // Endurance / wear.
 // ---------------------------------------------------------------------
@@ -243,10 +182,4 @@ func WearFrom(perLineWrites []float64, seconds float64) Wear {
 		w.LifetimeYears = math.Inf(1)
 	}
 	return w
-}
-
-// String summarizes the wear report.
-func (w Wear) String() string {
-	return fmt.Sprintf("max %.0f / mean %.1f writes per line (variation %.1fx), worst-line lifetime %.1f years",
-		w.MaxWritesPerLine, w.MeanWritesPerLine, w.Variation, w.LifetimeYears)
 }
