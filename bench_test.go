@@ -357,14 +357,3 @@ func BenchmarkWorkloadGenFamily(b *testing.B) {
 	}
 	b.ReportMetric(32*float64(b.N)/b.Elapsed().Seconds(), "apps/s")
 }
-
-func BenchmarkWearLeveling(b *testing.B) {
-	p := benchParams("bfs")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.WearLeveling(p)
-		if len(rows) != 1 {
-			b.Fatal("wear leveling incomplete")
-		}
-	}
-}

@@ -12,7 +12,7 @@
 //	sttexp -exp gen -gen '{"name":"mix","seed":7,"count":4}'   # generated family
 //
 // Experiments: table1 table2 fig3 fig4 fig5 fig6 fig8 ablation area
-// Extensions: power retention lrsize reliability wear adaptive runs gen
+// Extensions: power retention lrsize reliability adaptive runs gen
 //
 // "gen" sweeps a parametric workload family (internal/workloads/gen)
 // across configurations: -gen takes a gen.FamilySpec as inline JSON or
@@ -68,7 +68,7 @@ func fig8Chart(title string, res experiments.Fig8Result, pick func(experiments.F
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "comma-separated experiments (table1,table2,fig3..fig8,ablation,area,power,retention,lrsize,reliability,wear,adaptive,runs,gen,all)")
+		exp     = flag.String("exp", "all", "comma-separated experiments (table1,table2,fig3,fig4,fig5,fig6,fig8,ablation,area,power,retention,lrsize,reliability,adaptive,runs,gen,all)")
 		scale   = flag.Float64("scale", 1.0, "scale per-warp instruction counts")
 		warps   = flag.Int("warps", 0, "override warp jobs per SM (0 = benchmark default)")
 		benches = flag.String("bench", "", "comma-separated benchmark subset (default: all)")
@@ -248,11 +248,6 @@ func main() {
 		rows := experiments.Reliability(p)
 		data("reliability", rows)
 		text(experiments.FormatReliability(rows))
-	})
-	run("wear", func() {
-		rows := experiments.WearLeveling(p)
-		data("wear", rows)
-		text(experiments.FormatWearLeveling(rows))
 	})
 	run("adaptive", func() {
 		rows := experiments.AdaptivePolicySweep(p)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"sttllc/internal/cache"
 	"sttllc/internal/config"
-	"sttllc/internal/gpu"
 	"sttllc/internal/sim"
 	"sttllc/internal/stats"
 	"sttllc/internal/workloads"
@@ -177,9 +175,7 @@ type AblationRow struct {
 
 // AblationVariants lists the implemented design ablations.
 var AblationVariants = []string{
-	"parallel-search", "no-migration", "tiny-buffers",
-	"fifo-replacement", "random-replacement", "wear-aware-replacement",
-	"gto-scheduler", "sram-lr-hybrid",
+	"parallel-search", "no-migration", "tiny-buffers", "sram-lr-hybrid",
 }
 
 func ablationConfig(variant string) config.GPUConfig {
@@ -191,14 +187,6 @@ func ablationConfig(variant string) config.GPUConfig {
 		cfg.L2.DisableMigration = true
 	case "tiny-buffers":
 		cfg.L2.BufferBlocks = 1
-	case "fifo-replacement":
-		cfg.L2.Replacement = cache.FIFO
-	case "random-replacement":
-		cfg.L2.Replacement = cache.Random
-	case "wear-aware-replacement":
-		cfg.L2.Replacement = cache.WearAware
-	case "gto-scheduler":
-		cfg.SM.Scheduler = gpu.GTO
 	case "sram-lr-hybrid":
 		// Related-work design point (hybrid SRAM/STT): fast SRAM LR,
 		// at the cost of leakage and (unmodeled) 4x LR area.

@@ -260,35 +260,6 @@ func TestRunResultString(t *testing.T) {
 	}
 }
 
-func TestMarkdownReport(t *testing.T) {
-	report := MarkdownReport(tiny("bfs", "hotspot"))
-	for _, want := range []string{
-		"# STT-RAM GPU LLC",
-		"## Table 1", "## Table 2",
-		"## Figure 3", "## Figure 4", "## Figure 5", "## Figure 6", "## Figure 8",
-		"## Ablations", "## Reliability",
-		"gmean speedup", "| bfs |",
-	} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q", want)
-		}
-	}
-	// Valid Markdown tables: every table row has balanced pipes.
-	for _, line := range strings.Split(report, "\n") {
-		if strings.HasPrefix(line, "|") && !strings.HasSuffix(line, "|") {
-			t.Errorf("unterminated table row: %q", line)
-		}
-	}
-}
-
-func TestMdTable(t *testing.T) {
-	got := mdTable([]string{"a", "b"}, [][]string{{"1", "2"}})
-	want := "| a | b |\n| --- | --- |\n| 1 | 2 |\n"
-	if got != want {
-		t.Errorf("mdTable = %q, want %q", got, want)
-	}
-}
-
 func TestParallelismDoesNotChangeResults(t *testing.T) {
 	serial := tiny("bfs", "hotspot", "nw")
 	serial.Parallel = 1

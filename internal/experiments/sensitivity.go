@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"sttllc/internal/cache"
 	"sttllc/internal/config"
 	"sttllc/internal/core"
 	"sttllc/internal/reliability"
@@ -281,62 +280,6 @@ func FormatReliability(rows []ReliabilityRow) string {
 			r.RefreshNeeded*100,
 			r.LRWear.Variation,
 			r.LRWear.LifetimeYears)
-	}
-	return b.String()
-}
-
-// ---------------------------------------------------------------------
-// Wear leveling: the endurance extension the paper's i2WAP citation
-// points at. Compares the LR part's wear under plain LRU replacement
-// against the wear-aware policy.
-// ---------------------------------------------------------------------
-
-// WearRow compares LR-part wear with and without wear-aware replacement.
-type WearRow struct {
-	Benchmark string
-	// LRU and WearAware are the LR wear reports under each policy.
-	LRU       reliability.Wear
-	WearAware reliability.Wear
-	// Speedup is wear-aware IPC relative to LRU (the performance cost
-	// of leveling).
-	Speedup float64
-}
-
-// WearLeveling runs C1 with both replacement policies and reports LR
-// wear.
-func WearLeveling(p Params) []WearRow {
-	rows := make([]WearRow, len(p.specs()))
-	forEachSpec(p, func(i int, spec workloads.Spec) {
-		lru := sim.New(config.C1(), spec, p.opts())
-		rLRU := lru.Run()
-
-		cfg := config.C1()
-		cfg.L2.Replacement = cache.WearAware
-		wa := sim.New(cfg, spec, p.opts())
-		rWA := wa.Run()
-
-		row := WearRow{
-			Benchmark: spec.Name,
-			LRU:       reliability.WearFrom(lrLineWrites(lru), rLRU.Seconds),
-			WearAware: reliability.WearFrom(lrLineWrites(wa), rWA.Seconds),
-		}
-		if rLRU.IPC > 0 {
-			row.Speedup = rWA.IPC / rLRU.IPC
-		}
-		rows[i] = row
-	})
-	return rows
-}
-
-// FormatWearLeveling renders the comparison.
-func FormatWearLeveling(rows []WearRow) string {
-	var b strings.Builder
-	b.WriteString("Wear leveling: LR-part wear under LRU vs wear-aware replacement\n")
-	b.WriteString(header("Benchmark", "LRU var", "WA var", "LRU life", "WA life", "Speedup"))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %12.1f %12.1f %11.2fy %11.2fy %12.3f\n",
-			r.Benchmark, r.LRU.Variation, r.WearAware.Variation,
-			r.LRU.LifetimeYears, r.WearAware.LifetimeYears, r.Speedup)
 	}
 	return b.String()
 }

@@ -142,25 +142,3 @@ func TestPowerBreakdownUnknownConfigPanics(t *testing.T) {
 	}()
 	PowerBreakdown(tiny("bfs"), "C9")
 }
-
-func TestWearLevelingExperiment(t *testing.T) {
-	rows := WearLeveling(tiny("bfs"))
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	r := rows[0]
-	if r.LRU.MaxWritesPerLine <= 0 || r.WearAware.MaxWritesPerLine <= 0 {
-		t.Fatal("wear not measured")
-	}
-	if r.Speedup <= 0 {
-		t.Errorf("speedup missing: %+v", r)
-	}
-	// Wear-aware replacement must not increase the LR wear variation.
-	if r.WearAware.Variation > r.LRU.Variation*1.05 {
-		t.Errorf("wear-aware variation (%v) should not exceed LRU's (%v)",
-			r.WearAware.Variation, r.LRU.Variation)
-	}
-	if !strings.Contains(FormatWearLeveling(rows), "LRU var") {
-		t.Error("rendering incomplete")
-	}
-}
