@@ -15,8 +15,7 @@
 // fill touch one place instead of four. Probe compares every tag of the
 // set into a match bitmask and gates it by the valid word; the LRU
 // victim is a branch-free minimum over the record's stamps. The cold
-// per-line metadata (FIFO fill stamps, write counters, retention stamps,
-// wear) lives apart, in slabs of 64 sets that are allocated on the first
+// per-line metadata (write counters, retention stamps, wear) lives apart, in slabs of 64 sets that are allocated on the first
 // fill into them, because the evaluation harness and the service build
 // thousands of short-lived caches whose workloads touch only a fraction
 // of the sets. A fresh array costs three allocations plus one per
@@ -51,11 +50,9 @@ type Line struct {
 	// lru is the use stamp, taken from a cache-wide counter on every hit
 	// and fill; the smallest in a set is the LRU victim.
 	lru uint64
-	// fill is the stamp at allocation time, for FIFO replacement.
-	fill uint64
 	// Wear counts every physical write into this line slot (stores and
-	// fills), for endurance analysis and wear-aware replacement. Wear
-	// belongs to the physical slot, so it survives Fill and Invalidate.
+	// fills), for endurance analysis. Wear belongs to the physical slot,
+	// so it survives Fill and Invalidate.
 	Wear uint32
 }
 
@@ -91,43 +88,9 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits()) / float64(a)
 }
 
-// Policy selects the replacement victim within a set.
-type Policy int
-
-const (
-	// LRU evicts the least recently used line (the default; what the
-	// paper's caches use).
-	LRU Policy = iota
-	// FIFO evicts the earliest-filled line regardless of use.
-	FIFO
-	// Random evicts a pseudo-random valid line (deterministic per
-	// cache instance).
-	Random
-	// WearAware evicts the least-worn valid line, leveling write wear
-	// within a set (the intra-set counterpart of i2WAP's schemes).
-	WearAware
-)
-
-// String returns the policy name.
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "LRU"
-	case FIFO:
-		return "FIFO"
-	case Random:
-		return "Random"
-	case WearAware:
-		return "WearAware"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
 // coldLine is the per-line cold metadata. It is off the probe path:
 // Probe touches only the set's record.
 type coldLine struct {
-	fill      uint64
 	lastWrite int64
 	retStamp  int64
 	wear      uint32
@@ -148,9 +111,6 @@ type Cache struct {
 	CapacityBytes int
 	Ways          int
 	LineBytes     int
-	// Policy selects the replacement victim; zero value is LRU. Set it
-	// before the first access.
-	Policy Policy
 
 	sets     int
 	setShift uint // log2(LineBytes)
@@ -187,7 +147,6 @@ type Cache struct {
 	groupMask  int
 
 	stamp      uint64
-	rng        uint64 // Random-policy PRNG state
 	validCount int
 	// noMeta disables the cold per-line metadata (write counters,
 	// retention stamps, wear): the SM-side caches never have theirs
@@ -248,7 +207,6 @@ func New(capacityBytes, ways, lineBytes int) *Cache {
 		cold:          make([][]coldLine, sets>>gs),
 		groupShift:    gs,
 		groupMask:     1<<gs - 1,
-		rng:           0x9E3779B97F4A7C15,
 		activeWays:    ways,
 		activeWords:   mw,
 		activeLast:    last,
@@ -261,8 +219,8 @@ func New(capacityBytes, ways, lineBytes int) *Cache {
 // caches whose owner never reads those fields — the per-SM L1, constant,
 // and texture caches — this skips the metadata stores on every write and
 // the group slab allocations entirely. Must be called before the first
-// access; incompatible with FIFO/WearAware replacement and retention
-// expiry, which read the suppressed fields.
+// access; incompatible with retention expiry, which reads the
+// suppressed fields.
 func (c *Cache) DisableMetadata() { c.noMeta = true }
 
 // Sets returns the number of sets.
@@ -401,8 +359,8 @@ func (c *Cache) activeMask(wi int) uint64 {
 }
 
 // Victim returns the way to evict in the set: an invalid active way if
-// any, otherwise the active line chosen by the replacement policy. Ways
-// at or beyond the active bound are never picked.
+// any, otherwise the least recently used active line. Ways at or beyond
+// the active bound are never picked.
 func (c *Cache) Victim(set int) int {
 	r := c.record(set)
 	for wi := 0; wi < c.activeWords; wi++ {
@@ -410,44 +368,13 @@ func (c *Cache) Victim(set int) int {
 			return wi<<6 + bits.TrailingZeros64(inv)
 		}
 	}
-	if c.Policy == Random {
-		// xorshift64*: deterministic per cache instance.
-		c.rng ^= c.rng >> 12
-		c.rng ^= c.rng << 25
-		c.rng ^= c.rng >> 27
-		return int((c.rng * 0x2545F4914F6CDD1D) % uint64(c.activeWays))
-	}
-	victim := 0
-	var min uint64 = ^uint64(0)
-	switch c.Policy {
-	case FIFO, WearAware:
-		// Every active way is valid here, so the set's group exists.
-		g := c.cold[set>>c.groupShift]
-		base := (set & c.groupMask) * c.Ways
-		if c.Policy == FIFO {
-			for w := 0; w < c.activeWays; w++ {
-				if g[base+w].fill < min {
-					min = g[base+w].fill
-					victim = w
-				}
-			}
-		} else {
-			for w := 0; w < c.activeWays; w++ {
-				if uint64(g[base+w].wear) < min {
-					min = uint64(g[base+w].wear)
-					victim = w
-				}
-			}
-		}
-	default: // LRU
-		// A branch-free minimum: both assignments compile to
-		// conditional moves. Strict < keeps the lowest way on ties.
-		stamps := r[c.stampOff : c.stampOff+c.activeWays]
-		min = stamps[0]
-		for w, s := range stamps {
-			if s < min {
-				min, victim = s, w
-			}
+	// A branch-free minimum: both assignments compile to conditional
+	// moves. Strict < keeps the lowest way on ties.
+	stamps := r[c.stampOff : c.stampOff+c.activeWays]
+	victim, min := 0, stamps[0]
+	for w, s := range stamps {
+		if s < min {
+			min, victim = s, w
 		}
 	}
 	return victim
@@ -499,7 +426,6 @@ func (c *Cache) snapshot(set, way int) Line {
 		ln.WriteCount = l.wrCount
 		ln.LastWriteCycle = l.lastWrite
 		ln.RetentionStamp = l.retStamp
-		ln.fill = l.fill
 		ln.Wear = l.wear
 	}
 	return ln
@@ -626,7 +552,6 @@ func (c *Cache) Fill(addr uint64, dirty bool, cycle int64) (ev Evicted, evicted 
 		}
 		l.lastWrite = cycle
 		l.retStamp = cycle
-		l.fill = c.stamp
 		l.wear++ // the fill writes the physical slot
 	}
 	c.Stats.Fills++
@@ -676,7 +601,6 @@ func (c *Cache) InvalidateWay(set, way int) (ev Evicted, found bool) {
 		l.wrCount = 0
 		l.lastWrite = 0
 		l.retStamp = 0
-		l.fill = 0
 	}
 	r[c.stampOff+way] = 0
 	c.Stats.Invalidates++
@@ -800,8 +724,8 @@ func (c *Cache) EnableWriteVariation() {
 	c.WriteVar = stats.NewWriteVariation(c.sets, c.Ways)
 }
 
-// Reset clears all lines and statistics but keeps the geometry, the
-// replacement policy, and any write-variation tracker (zeroed). Wear
+// Reset clears all lines and statistics but keeps the geometry and any
+// write-variation tracker (zeroed). Wear
 // and all stamps are zeroed: Reset models a fresh array, not a power
 // cycle of a worn one. Touched cold-metadata groups are zeroed in place
 // and kept, so a reused array refills without allocating.
@@ -811,7 +735,6 @@ func (c *Cache) Reset() {
 		clear(g)
 	}
 	c.stamp = 0
-	c.rng = 0x9E3779B97F4A7C15
 	c.validCount = 0
 	c.activeWays = c.Ways
 	c.activeWords = c.maskWords

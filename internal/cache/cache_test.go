@@ -250,7 +250,6 @@ func TestWriteVariationRecording(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	c := newSmall()
-	c.Policy = FIFO
 	c.EnableWriteVariation()
 	c.Fill(0x00, true, 1)
 	c.Access(0x00, true, 2)
@@ -266,12 +265,9 @@ func TestReset(t *testing.T) {
 	if c.WriteVar.TotalWrites() != 0 {
 		t.Error("Reset left write-variation counts")
 	}
-	// Geometry, policy, and tracker dimensions survive.
+	// Geometry and tracker dimensions survive.
 	if c.Sets() != 4 || c.Ways != 2 || c.LineBytes != 64 || c.CapacityBytes != 512 {
 		t.Errorf("Reset changed geometry: %d sets %d ways %dB", c.Sets(), c.Ways, c.LineBytes)
-	}
-	if c.Policy != FIFO {
-		t.Errorf("Reset changed policy to %v", c.Policy)
 	}
 	if c.WriteVar == nil {
 		t.Fatal("Reset dropped the write-variation tracker")
@@ -294,33 +290,6 @@ func TestReset(t *testing.T) {
 	}
 	if l := c.LineAt(0, 0); l.Wear != 1 || l.RetentionStamp != 10 {
 		t.Errorf("post-Reset line = %+v, want wear 1 stamp 10", l)
-	}
-}
-
-// TestResetRandomSequenceRepeats pins the deterministic PRNG reseed: the
-// eviction sequence after Reset must replay the original.
-func TestResetRandomSequenceRepeats(t *testing.T) {
-	c := newSmall()
-	c.Policy = Random
-	run := func() []uint64 {
-		var evs []uint64
-		for i := 0; i < 32; i++ {
-			if ev, evicted := c.Fill(uint64(i)<<8, false, int64(i)); evicted {
-				evs = append(evs, ev.Addr)
-			}
-		}
-		return evs
-	}
-	a := run()
-	c.Reset()
-	b := run()
-	if len(a) != len(b) {
-		t.Fatalf("eviction counts differ after Reset: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("Reset must reseed the replacement PRNG")
-		}
 	}
 }
 
@@ -433,76 +402,6 @@ func BenchmarkFillEvict(b *testing.B) {
 	}
 }
 
-func TestPolicyStrings(t *testing.T) {
-	if LRU.String() != "LRU" || FIFO.String() != "FIFO" || Random.String() != "Random" {
-		t.Error("Policy.String mismatch")
-	}
-	if Policy(9).String() != "Policy(9)" {
-		t.Error("unknown policy should render ordinal")
-	}
-}
-
-func TestFIFOEvictsEarliestFill(t *testing.T) {
-	c := newSmall() // 2 ways
-	c.Policy = FIFO
-	a0, a1, a2 := uint64(0x000), uint64(0x100), uint64(0x200)
-	c.Fill(a0, false, 1)
-	c.Fill(a1, false, 2)
-	// Touch a0 repeatedly: under LRU a1 would be the victim, but FIFO
-	// still evicts the first-filled a0.
-	c.Access(a0, false, 3)
-	c.Access(a0, false, 4)
-	ev, evicted := c.Fill(a2, false, 5)
-	if !evicted || ev.Addr != a0 {
-		t.Errorf("FIFO evicted %#x, want %#x", ev.Addr, a0)
-	}
-}
-
-func TestRandomPolicyDeterministicAndValid(t *testing.T) {
-	runOnce := func() []uint64 {
-		c := newSmall()
-		c.Policy = Random
-		var evs []uint64
-		for i := 0; i < 32; i++ {
-			if ev, evicted := c.Fill(uint64(i)<<8, false, int64(i)); evicted {
-				evs = append(evs, ev.Addr)
-			}
-		}
-		return evs
-	}
-	a, b := runOnce(), runOnce()
-	if len(a) == 0 {
-		t.Fatal("random policy never evicted")
-	}
-	if len(a) != len(b) {
-		t.Fatalf("nondeterministic eviction count: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("random policy must be deterministic per instance")
-		}
-	}
-}
-
-func TestRandomPolicySpreadsVictims(t *testing.T) {
-	c := New(8*64, 8, 64) // fully associative, 8 ways
-	c.Policy = Random
-	for i := 0; i < 8; i++ {
-		c.Fill(uint64(i)<<6, false, int64(i))
-	}
-	seen := map[uint64]bool{}
-	for i := 8; i < 64; i++ {
-		ev, evicted := c.Fill(uint64(i)<<6, false, int64(i))
-		if !evicted {
-			t.Fatal("full set must evict")
-		}
-		seen[ev.Addr] = true
-	}
-	if len(seen) < 8 {
-		t.Errorf("random victims covered only %d distinct lines", len(seen))
-	}
-}
-
 func TestWearTracking(t *testing.T) {
 	c := newSmall()
 	c.Fill(0x00, false, 1) // fill writes the slot: wear 1
@@ -544,41 +443,5 @@ func TestWearCounts(t *testing.T) {
 	}
 	if total != 1 {
 		t.Errorf("total wear = %v, want 1", total)
-	}
-}
-
-func TestWearAwareReplacementLevelsWear(t *testing.T) {
-	// A read-hot block pins one way under LRU (always MRU via reads, so
-	// never the victim) while conflicting write-fills churn the other
-	// way alone. Wear-aware replacement instead victimizes the cold
-	// slot, spreading fill wear across both ways.
-	variation := func(p Policy) float64 {
-		c := New(64*2, 2, 64) // fully associative, 2 ways
-		c.Policy = p
-		hot := uint64(0x000)
-		alt := []uint64{0x100, 0x200}
-		c.Fill(hot, false, 0)
-		for i := 0; i < 400; i++ {
-			if !c.Access(hot, false, int64(i)) {
-				c.Fill(hot, false, int64(i))
-			}
-			w := alt[i%2]
-			if !c.Access(w, true, int64(i)) {
-				c.Fill(w, true, int64(i))
-			}
-		}
-		counts := c.WearCounts()
-		max, sum := 0.0, 0.0
-		for _, v := range counts {
-			if v > max {
-				max = v
-			}
-			sum += v
-		}
-		return max / (sum / float64(len(counts)))
-	}
-	lru, wa := variation(LRU), variation(WearAware)
-	if wa >= lru {
-		t.Errorf("wear-aware variation (%v) should be below LRU's (%v)", wa, lru)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"sttllc/internal/arraymodel"
-	"sttllc/internal/cache"
 	"sttllc/internal/core"
 	"sttllc/internal/dram"
 	"sttllc/internal/gpu"
@@ -54,9 +53,6 @@ type L2Spec struct {
 	// default 40ms cell). Used by the adaptive policy sweep's fixed
 	// competitors — the static tiers C4's controller chooses among.
 	HRRetention time.Duration
-	// Replacement selects the victim policy of every L2 array
-	// (default LRU).
-	Replacement cache.Policy
 	// SRAMLR builds the LR part out of SRAM instead of low-retention
 	// STT-RAM — the hybrid design of the related work (Goswami et al.,
 	// HPCA'13). Note this breaks the iso-area premise: SRAM bits cost

@@ -209,7 +209,6 @@ func (g GPUConfig) newTier(t TierSpec, back core.Backing) (core.Tier, error) {
 			LineBytes:     g.LineBytes,
 			Cell:          cell,
 			ClockHz:       g.ClockHz,
-			Replacement:   g.L2.Replacement,
 		}, back)
 	}
 	switch t.Kind {
@@ -243,7 +242,6 @@ func (g GPUConfig) newTier(t TierSpec, back core.Backing) (core.Tier, error) {
 			BufferBlocks:     g.L2.BufferBlocks,
 			ParallelSearch:   g.L2.ParallelSearch,
 			DisableMigration: g.L2.DisableMigration,
-			Replacement:      g.L2.Replacement,
 		}, back), nil
 	default:
 		return nil, fmt.Errorf("config %s: unknown tier kind %q", g.Name, t.Kind)

@@ -46,9 +46,6 @@ type TwoPartConfig struct {
 	// Defaults: 4 (LR, the paper's 16kHz counter) and 2 (HR).
 	LRCounterBits int
 	HRCounterBits int
-	// Replacement selects the victim policy of both parts (default
-	// LRU).
-	Replacement cache.Policy
 }
 
 // Normalized returns the configuration with defaults applied, exactly
@@ -174,8 +171,6 @@ func NewTwoPartBank(cfg TwoPartConfig, back Backing) *TwoPartBank {
 	}
 	b.mc, _ = back.(*dram.Controller)
 	b.hrCell = cfg.HRCell
-	b.lr.Policy = cfg.Replacement
-	b.hr.Policy = cfg.Replacement
 	b.lrWriteOcc = writeOccupancy(b.lrReadCy, b.lrWriteCy)
 	b.hrWriteOcc = writeOccupancy(b.hrReadCy, b.hrWriteCy)
 	b.lrRetCy = cyclesOf(cfg.LRCell.Retention, cfg.ClockHz)

@@ -18,8 +18,6 @@ type UniformConfig struct {
 	TagLatencyCycles int64
 	// AddrBits sizes the tag width for energy accounting.
 	AddrBits int
-	// Replacement selects the victim policy (default LRU).
-	Replacement cache.Policy
 }
 
 // UniformBank is a conventional write-back, write-allocate(no-fetch) L2
@@ -77,7 +75,6 @@ func NewUniformBank(cfg UniformConfig, back Backing) *UniformBank {
 		msh:         newMSHR(),
 	}
 	b.mc, _ = back.(*dram.Controller)
-	b.arr.Policy = cfg.Replacement
 	b.stats.RewriteIntervals = NewRewriteHistogram()
 	return b
 }

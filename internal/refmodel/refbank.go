@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"sttllc/internal/cache"
 	"sttllc/internal/core"
 	"sttllc/internal/sttram"
 )
@@ -235,12 +234,9 @@ type RefTwoPart struct {
 }
 
 // NewTwoPart builds the reference two-part bank for the given
-// (normalized or not) configuration. Only LRU replacement is specified.
+// (normalized or not) configuration.
 func NewTwoPart(cfg core.TwoPartConfig, mc core.Backing) *RefTwoPart {
 	cfg = cfg.Normalized()
-	if cfg.Replacement != cache.LRU {
-		panic("refmodel: only LRU replacement is specified")
-	}
 	b := &RefTwoPart{
 		cfg:       cfg,
 		lr:        newRefCache(cfg.LRBytes, cfg.LRWays, cfg.LineBytes),
@@ -678,9 +674,6 @@ func NewUniform(cfg core.UniformConfig, mc core.Backing) *RefUniform {
 	}
 	if cfg.AddrBits == 0 {
 		cfg.AddrBits = 32
-	}
-	if cfg.Replacement != cache.LRU {
-		panic("refmodel: only LRU replacement is specified")
 	}
 	b := &RefUniform{
 		cfg:     cfg,
