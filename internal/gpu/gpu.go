@@ -14,6 +14,7 @@
 package gpu
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -91,31 +92,11 @@ type MemSystem interface {
 	Access(now int64, smID int, addr uint64, write bool) (done int64)
 }
 
-// Scheduler selects the warp-issue policy.
-type Scheduler int
-
-const (
-	// RoundRobin issues from ready warps in loose round-robin order
-	// (the interleaving the paper's GPU model assumes).
-	RoundRobin Scheduler = iota
-	// GTO (greedy-then-oldest) keeps issuing from the last warp until
-	// it stalls, then falls back to the oldest ready warp — the
-	// scheduler shown by Rogers et al. [MICRO'12, cited by the paper]
-	// to improve intra-warp locality.
-	GTO
-)
-
-// String returns the scheduler name.
-func (s Scheduler) String() string {
-	if s == GTO {
-		return "GTO"
-	}
-	return "RoundRobin"
-}
-
 // SMConfig sizes one streaming multiprocessor.
 type SMConfig struct {
 	// MaxWarps is the scheduler's resident-warp limit (48 on Fermi).
+	// An SM holds at most 64 resident warps: its issue scan keeps one
+	// ready bit per slot in a single word.
 	MaxWarps int
 	// Registers is the per-SM register file capacity in 32-bit
 	// registers; together with the kernel's RegsPerThread it bounds
@@ -137,8 +118,6 @@ type SMConfig struct {
 	TexLineBytes int
 	// StoreCredits bounds outstanding stores per SM.
 	StoreCredits int
-	// Scheduler selects the warp-issue policy (default RoundRobin).
-	Scheduler Scheduler
 }
 
 // DefaultSMConfig returns the GTX480-like SM of Table 2.
@@ -199,9 +178,8 @@ type warpCtx struct {
 	wake    int64
 	retired bool
 	// pending holds a store that could not issue for lack of credits.
-	pending  Instr
-	hasPend  bool
-	jobIndex int
+	pending Instr
+	hasPend bool
 }
 
 // SMStats counts per-SM activity.
@@ -227,11 +205,10 @@ type SM struct {
 	ccache *cache.Cache // constant cache (read-only)
 	tcache *cache.Cache // texture cache (read-only)
 
-	warps      []warpCtx
-	rr         int
-	lastIssued int
-	nextJob    int
-	lastJob    int // exclusive
+	warps   []warpCtx
+	rr      int
+	nextJob int
+	lastJob int // exclusive
 
 	credits   int
 	creditRet []int64 // outstanding store completion times
@@ -240,13 +217,11 @@ type SM struct {
 	// Round-robin issue bookkeeping: every non-retired slot is either in
 	// the ready mask (wake has passed) or in the sleep heap (wake in the
 	// future), exactly once. Warp state mutates only inside Step, so the
-	// mask cannot go stale between calls. Disabled (useMask=false) when
-	// the slot count exceeds 64 or the scheduler is GTO.
+	// mask cannot go stale between calls.
 	ready    uint64
 	soon     uint64    // slots waking at maskTime+1 (merged on the next Step)
 	maskTime int64     // cycle of the last stepMask call
 	sleep    []sleeper // min-heap ordered by wake
-	useMask  bool
 
 	stats SMStats
 }
@@ -258,7 +233,8 @@ type sleeper struct {
 }
 
 // NewSM builds an SM running jobs [firstJob, firstJob+numJobs) of the
-// kernel with the given resident-warp count.
+// kernel with the given resident-warp count. It panics when the SM would
+// hold more than 64 resident warps, which is a configuration bug.
 func NewSM(id int, cfg SMConfig, model KernelModel, mem MemSystem, resident, firstJob, numJobs int) *SM {
 	s := &SM{ID: id}
 	s.Reset(cfg, model, mem, resident, firstJob, numJobs)
@@ -268,13 +244,17 @@ func NewSM(id int, cfg SMConfig, model KernelModel, mem MemSystem, resident, fir
 // Reset reloads the SM with a new window of warp jobs, leaving it
 // exactly as NewSM builds it: warp slots, credits, scheduler state and
 // statistics start fresh and the caches are empty. Caches and slices
-// whose geometry still fits are reused rather than reallocated.
+// whose geometry still fits are reused rather than reallocated. Like
+// NewSM, it panics above 64 resident warps.
 func (s *SM) Reset(cfg SMConfig, model KernelModel, mem MemSystem, resident, firstJob, numJobs int) {
 	if resident < 1 {
 		resident = 1
 	}
 	if resident > numJobs {
 		resident = numJobs
+	}
+	if resident > 64 {
+		panic(fmt.Sprintf("gpu: %d resident warps, an SM holds at most 64", resident))
 	}
 	warps := s.warps[:0]
 	if cap(warps) < resident {
@@ -291,25 +271,19 @@ func (s *SM) Reset(cfg SMConfig, model KernelModel, mem MemSystem, resident, fir
 		ccache: smCache(s.ccache, cfg.ConstBytes, cfg.ConstWays, cfg.ConstLineBytes),
 		tcache: smCache(s.tcache, cfg.TexBytes, cfg.TexWays, cfg.TexLineBytes),
 
-		warps:      warps,
-		lastIssued: -1,
-		nextJob:    firstJob,
-		lastJob:    firstJob + numJobs,
-		credits:    cfg.StoreCredits,
-		creditRet:  s.creditRet[:0],
-		creditMin:  math.MaxInt64,
-		sleep:      s.sleep[:0],
+		warps:     warps,
+		nextJob:   firstJob,
+		lastJob:   firstJob + numJobs,
+		credits:   cfg.StoreCredits,
+		creditRet: s.creditRet[:0],
+		creditMin: math.MaxInt64,
+		sleep:     s.sleep[:0],
+		maskTime:  -1,
 	}
 	for i := range s.warps {
 		s.activate(i)
-	}
-	s.useMask = len(s.warps) <= 64 && cfg.Scheduler == RoundRobin
-	if s.useMask {
-		s.maskTime = -1
-		for i := range s.warps {
-			if !s.warps[i].retired {
-				s.ready |= 1 << uint(i)
-			}
+		if !s.warps[i].retired {
+			s.ready |= 1 << uint(i)
 		}
 	}
 }
@@ -334,7 +308,7 @@ func (s *SM) activate(i int) {
 		s.warps[i].retired = true
 		return
 	}
-	s.warps[i] = warpCtx{stream: s.model.NewWarp(s.nextJob), jobIndex: s.nextJob}
+	s.warps[i] = warpCtx{stream: s.model.NewWarp(s.nextJob)}
 	s.nextJob++
 }
 
@@ -364,36 +338,13 @@ func (s *SM) reclaimCredits(now int64) {
 // reports whether anything issued.
 func (s *SM) Step(now int64) bool {
 	s.reclaimCredits(now)
-	if s.cfg.Scheduler == GTO {
-		return s.stepGTO(now)
-	}
-	if s.useMask {
-		return s.stepMask(now)
-	}
-	n := len(s.warps)
-	i := s.rr
-	for k := 0; k < n; k++ {
-		// Hoisted not-ready rejection: skip sleeping and retired warps
-		// without the tryIssue call (identical to its first check).
-		if w := &s.warps[i]; !w.retired && w.wake <= now && s.tryIssue(now, i) {
-			s.rr = i + 1
-			if s.rr == n {
-				s.rr = 0
-			}
-			return true
-		}
-		i++
-		if i == n {
-			i = 0
-		}
-	}
-	return false
+	return s.stepMask(now)
 }
 
-// stepMask is the round-robin scan over the ready mask. It visits exactly
-// the slots the linear scan would call tryIssue on, in the same order:
-// ready bits >= rr ascending, then ready bits < rr ascending. Snapshot
-// masks are safe because tryIssue only mutates the slot it is given.
+// stepMask is the loose round-robin scan over the ready mask: it tries
+// ready slots >= rr ascending, then ready slots < rr ascending, and
+// issues from the first that can. Snapshot masks are safe because
+// tryIssue only mutates the slot it is given.
 func (s *SM) stepMask(now int64) bool {
 	if now != s.maskTime {
 		// Time moved on: everything parked for "one cycle later" is now
@@ -440,7 +391,7 @@ func (s *SM) stepMask(now int64) bool {
 }
 
 // RunAhead advances the SM alone through cycles [from, limit), committing
-// only cycles that provably match the reference scan and touch no shared
+// only cycles that provably match what Step would do and touch no shared
 // state: the round-robin-first ready warp issues an ALU instruction with
 // no preceding side effect. It returns the first cycle it could not
 // commit — the caller must run the SM normally at that cycle.
@@ -454,9 +405,6 @@ func (s *SM) stepMask(now int64) bool {
 // could be owed. Credit reclaim is deferred: no committed cycle reads or
 // writes credits, and every real step reclaims before deciding anything.
 func (s *SM) RunAhead(from, limit int64) int64 {
-	if !s.useMask {
-		return from
-	}
 	t := from
 	for t < limit {
 		if t != s.maskTime {
@@ -492,7 +440,6 @@ func (s *SM) RunAhead(from, limit int64) int64 {
 		s.stats.Instructions++
 		s.stats.ALU++
 		w.wake = t + 1
-		s.lastIssued = slot
 		s.ready &^= 1 << uint(slot)
 		s.soon |= 1 << uint(slot)
 		s.rr = slot + 1
@@ -543,41 +490,6 @@ func (s *SM) popSleep() int32 {
 	return slot
 }
 
-// stepGTO implements greedy-then-oldest issue: stay with the last-issued
-// warp while it is ready; otherwise pick the ready warp running the
-// oldest job.
-func (s *SM) stepGTO(now int64) bool {
-	var visited uint64
-	if s.lastIssued >= 0 {
-		if w := &s.warps[s.lastIssued]; !w.retired && w.wake <= now && s.tryIssue(now, s.lastIssued) {
-			return true
-		}
-		visited |= 1 << uint(s.lastIssued)
-	}
-	for {
-		best, bestJob := -1, int(^uint(0)>>1)
-		for i := range s.warps {
-			if visited&(1<<uint(i)) != 0 {
-				continue
-			}
-			w := &s.warps[i]
-			if w.retired || w.wake > now {
-				continue
-			}
-			if w.jobIndex < bestJob {
-				best, bestJob = i, w.jobIndex
-			}
-		}
-		if best < 0 {
-			return false
-		}
-		visited |= 1 << uint(best)
-		if s.tryIssue(now, best) {
-			return true
-		}
-	}
-}
-
 // tryIssue attempts to issue one instruction from warp slot i. The
 // caller has already established the slot is awake and not retired; it
 // returns false when the slot still cannot issue this cycle (stream
@@ -603,7 +515,6 @@ func (s *SM) tryIssue(now int64, i int) bool {
 	}
 	w.hasPend = false
 	s.execute(now, w, instr)
-	s.lastIssued = i
 	return true
 }
 

@@ -315,6 +315,25 @@ func TestResidentCappedByJobs(t *testing.T) {
 	}
 }
 
+func TestNewSMPanicsAbove64Warps(t *testing.T) {
+	cfg := testCfg()
+	cfg.MaxWarps = 65
+	// 64 warps fill the ready word exactly and run to completion.
+	sm := NewSM(0, cfg, scriptModel{alu(2)}, &fixedMem{latency: 10}, 64, 0, 64)
+	for now := int64(0); !sm.Done() && now < 1000; now++ {
+		sm.Step(now)
+	}
+	if got := sm.Stats().Instructions; got != 128 {
+		t.Errorf("64 warps issued %d instructions, want 128", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("65 resident warps did not panic")
+		}
+	}()
+	NewSM(0, cfg, scriptModel{alu(1)}, &fixedMem{latency: 10}, 65, 0, 65)
+}
+
 func TestNextWakeDoneSM(t *testing.T) {
 	mem := &fixedMem{latency: 10}
 	sm := NewSM(0, testCfg(), scriptModel{alu(1)}, mem, 1, 0, 1)
@@ -360,12 +379,6 @@ func TestMoreWarpsHideLatencyBetter(t *testing.T) {
 	}
 }
 
-func TestSchedulerString(t *testing.T) {
-	if RoundRobin.String() != "RoundRobin" || GTO.String() != "GTO" {
-		t.Error("Scheduler.String mismatch")
-	}
-}
-
 // trackStream records which warp issued by writing to a shared log.
 type trackStream struct {
 	id  int
@@ -391,27 +404,6 @@ func (m trackModel) NewWarp(w int) WarpStream {
 	return &trackStream{id: w, n: m.perWarp, log: m.log}
 }
 
-func TestGTOSticksWithOneWarp(t *testing.T) {
-	cfg := testCfg()
-	cfg.Scheduler = GTO
-	var log []int
-	mem := &fixedMem{latency: 10}
-	sm := NewSM(0, cfg, trackModel{perWarp: 5, log: &log}, mem, 3, 0, 3)
-	for now := int64(0); !sm.Done() && now < 100; now++ {
-		sm.Step(now)
-	}
-	// Greedy: warp 0 must run to completion before warp 1 starts.
-	want := []int{0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2}
-	if len(log) != len(want) {
-		t.Fatalf("issued %d instructions, want %d", len(log), len(want))
-	}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("GTO issue order %v, want %v", log, want)
-		}
-	}
-}
-
 func TestRoundRobinInterleavesWarps(t *testing.T) {
 	var log []int
 	mem := &fixedMem{latency: 10}
@@ -422,69 +414,6 @@ func TestRoundRobinInterleavesWarps(t *testing.T) {
 	// Round-robin: the first three issues come from three warps.
 	if len(log) < 3 || log[0] == log[1] || log[1] == log[2] {
 		t.Errorf("RR issue order not interleaved: %v", log)
-	}
-}
-
-// perWarpLoadModel gives every warp one load to its own line, then an
-// ALU instruction.
-type perWarpLoadModel struct{}
-
-func (perWarpLoadModel) NewWarp(w int) WarpStream {
-	return &scriptStream{instrs: []Instr{
-		{Kind: InstrLoad, Addr: uint64(w+1) * 0x10000},
-		{Kind: InstrALU},
-	}}
-}
-
-func TestGTOFallsBackToOldestOnStall(t *testing.T) {
-	cfg := testCfg()
-	cfg.Scheduler = GTO
-	// Each warp loads its own line; when the greedy warp blocks, GTO
-	// must pick the oldest ready warp (lowest job index) and issue its
-	// load too.
-	mem := &fixedMem{latency: 50}
-	sm := NewSM(0, cfg, perWarpLoadModel{}, mem, 3, 0, 3)
-	if !sm.Step(0) {
-		t.Fatal("first issue failed")
-	}
-	// Warp 0 is now blocked on its load; next issue must come from
-	// warp 1 (the oldest ready), observed via the mem call order.
-	if !sm.Step(1) {
-		t.Fatal("second issue failed")
-	}
-	if len(mem.calls) != 2 {
-		t.Fatalf("expected 2 memory calls, got %d", len(mem.calls))
-	}
-}
-
-func TestGTOCompletesSameWorkAsRR(t *testing.T) {
-	script := make([]Instr, 0, 30)
-	for i := 0; i < 10; i++ {
-		script = append(script,
-			Instr{Kind: InstrLoad, Addr: uint64(i * 128)},
-			Instr{Kind: InstrALU},
-			Instr{Kind: InstrStore, Addr: uint64(0x40000 + i*128)})
-	}
-	run := func(sched Scheduler) uint64 {
-		cfg := testCfg()
-		cfg.Scheduler = sched
-		mem := &fixedMem{latency: 40}
-		sm := NewSM(0, cfg, scriptModel{script}, mem, 4, 0, 6)
-		now := int64(0)
-		for !sm.Done() && now < 1_000_000 {
-			if sm.Step(now) {
-				now++
-				continue
-			}
-			if sm.Done() {
-				break
-			}
-			now = sm.NextWake(now)
-		}
-		return sm.Stats().Instructions
-	}
-	if rr, gto := run(RoundRobin), run(GTO); rr != gto {
-		t.Errorf("instruction counts differ: RR %d vs GTO %d", rr, gto)
 	}
 }
 

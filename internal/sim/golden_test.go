@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"sttllc/internal/config"
-	"sttllc/internal/gpu"
 	"sttllc/internal/power"
 	"sttllc/internal/trace"
 	"sttllc/internal/workloads"
@@ -284,18 +283,6 @@ func TestGoldenMaxCycles(t *testing.T) {
 	}
 	if k := got.Kernels[1]; k.StartCycle != k.EndCycle || k.Instructions != 0 {
 		t.Errorf("kernel launched past the limit ran: %+v", k)
-	}
-}
-
-// TestGoldenGTO checks the greedy-then-oldest scheduler path.
-func TestGoldenGTO(t *testing.T) {
-	for _, name := range []string{"bfs", "lud"} {
-		spec := goldenSpec(t, name)
-		cfg := config.C1()
-		cfg.SM.Scheduler = gpu.GTO
-		got := New(cfg, spec, Options{}).Run()
-		want := seedRun(New(cfg, spec, Options{}))
-		assertGolden(t, name+"/GTO", got, want)
 	}
 }
 
