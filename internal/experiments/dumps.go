@@ -11,7 +11,7 @@ import (
 // StatsDumps runs every benchmark on every named configuration with a
 // full metrics registry attached and returns the machine-readable
 // dumps, ordered configuration-major then suite order — the "runs"
-// experiment behind `sttexp -exp runs` and `sttreport -stats-json`.
+// experiment behind `sttexp -exp runs`.
 // Each run owns a private registry and is its own task of forEachTask,
 // so the whole grid fans out at once.
 func StatsDumps(p Params, configs []string) []sim.StatsDump {

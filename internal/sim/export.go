@@ -1,5 +1,5 @@
 // Machine-readable stats export: one JSON schema shared by every tool
-// that reports simulation results (sttsim, sttexp, sttreport), so
+// that reports simulation results (sttsim, sttexp, stttrace), so
 // downstream analysis scripts parse one format instead of scraping
 // printf tables. The schema is versioned and pinned by a golden test;
 // additions bump the minor shape (new optional fields), removals or
@@ -241,7 +241,7 @@ func (d StatsDump) WriteJSON(w io.Writer) error {
 }
 
 // WriteStatsDumps serializes a list of dumps as one JSON array — the
-// multi-run form sttexp and sttreport emit.
+// multi-run form stttrace -replay emits.
 func WriteStatsDumps(w io.Writer, dumps []StatsDump) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
