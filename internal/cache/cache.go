@@ -15,8 +15,9 @@
 // fill touch one place instead of four. Probe compares every tag of the
 // set into a match bitmask and gates it by the valid word; the LRU
 // victim is a branch-free minimum over the record's stamps. The cold
-// per-line metadata (write counters, retention stamps, wear) lives apart, in slabs of 64 sets that are allocated on the first
-// fill into them, because the evaluation harness and the service build
+// per-line metadata (write counters, retention stamps, wear) lives
+// apart, in slabs of 64 sets that are allocated on the first fill into
+// them, because the evaluation harness and the service build
 // thousands of short-lived caches whose workloads touch only a fraction
 // of the sets. A fresh array costs three allocations plus one per
 // touched group.
@@ -725,9 +726,8 @@ func (c *Cache) EnableWriteVariation() {
 }
 
 // Reset clears all lines and statistics but keeps the geometry and any
-// write-variation tracker (zeroed). Wear
-// and all stamps are zeroed: Reset models a fresh array, not a power
-// cycle of a worn one. Touched cold-metadata groups are zeroed in place
+// write-variation tracker (zeroed). Wear and all stamps are zeroed:
+// Reset models a fresh array, not a power cycle of a worn one. Touched cold-metadata groups are zeroed in place
 // and kept, so a reused array refills without allocating.
 func (c *Cache) Reset() {
 	clear(c.rec)
